@@ -26,6 +26,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/qlog"
 	"repro/internal/server"
+	"repro/internal/sqlparser"
 	"repro/internal/store"
 	"repro/internal/widgets"
 	"repro/internal/workload"
@@ -320,6 +321,65 @@ func BenchmarkAppendRows(b *testing.B) {
 		if _, err := st.AppendRows("ontime", rows); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// freshQueryStore is the fresh-query benchmarks' setup: OnTime at 200k
+// rows with an index on Day, the columnar plan of a mined olap widget
+// query that the index serves, and one query so the head epoch has its
+// read structures built — the state a served interface is in.
+func freshQueryStore(b *testing.B) (*store.Store, func()) {
+	st := store.FromDB(engine.OnTimeDB(200000))
+	if !st.EnableIndex("ontime", "day") {
+		b.Fatal("EnableIndex(ontime.day) = false")
+	}
+	q, err := sqlparser.Parse("SELECT deststate, count(delay) FROM ontime WHERE day = 19 AND month = 9 GROUP BY deststate")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, ok := engine.CompileColumnar(q)
+	if !ok {
+		b.Fatal("fresh-query shape does not compile to a columnar plan")
+	}
+	query := func() {
+		if _, ran, err := engine.ExecColumnar(st.Snapshot(), plan); !ran || err != nil {
+			b.Fatalf("columnar query: ran=%v err=%v", ran, err)
+		}
+	}
+	query()
+	return st, query
+}
+
+// BenchmarkFreshQueryAfterAppend is the freshness cost of a row append
+// at 200k rows: one op is a 1-row append plus the first indexed
+// columnar query on the epoch it publishes, so work moved from the
+// query onto the write is still counted.
+func BenchmarkFreshQueryAfterAppend(b *testing.B) {
+	st, query := freshQueryStore(b)
+	row := appendBatch()[:1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.AppendRows("ontime", row); err != nil {
+			b.Fatal(err)
+		}
+		query()
+	}
+}
+
+// BenchmarkFreshQueryAfterDelete is the same for a 1-row DELETE, which
+// publishes an epoch whose rows are not a prefix extension of the
+// last one.
+func BenchmarkFreshQueryAfterDelete(b *testing.B) {
+	st, query := freshQueryStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids, _ := st.Snapshot().RowIDs("ontime")
+		if _, err := st.MutateRows("ontime", nil, ids[:1]); err != nil {
+			b.Fatal(err)
+		}
+		query()
 	}
 }
 

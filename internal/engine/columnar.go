@@ -33,6 +33,7 @@ type Column struct {
 	// ColStr layout. Codes[i] indexes Dict; -1 encodes NULL.
 	Codes []int32
 	Dict  []string
+	codes map[string]int32 // Dict inverse, kept for Derive's dictionary extension
 
 	// ColMixed layout.
 	Vals []Value
@@ -40,11 +41,12 @@ type Column struct {
 
 // ColumnarTable is a read-only columnar projection of a Table: typed
 // column vectors the vectorized kernels (colexec.go) scan instead of
-// walking [][]Value rows through the AST evaluator. It is built once
-// per table per data epoch (lazily, on the first columnar-eligible
-// query) and is immutable afterwards, so it is safe to share across
-// any number of concurrent executions — the same discipline as the
-// epoch snapshots it is derived from.
+// walking [][]Value rows through the AST evaluator. BuildColumnar makes
+// one from scratch; Derive makes the next data epoch's from the
+// previous one in O(delta) for appends. Either way it is immutable
+// once published, so it is safe to share across any number of
+// concurrent executions — the same discipline as the epoch snapshots
+// it is derived from.
 type ColumnarTable struct {
 	Name string
 	Cols []string
@@ -132,21 +134,14 @@ func buildColumn(rows [][]Value, ci int) Column {
 		}
 		return col
 	case allStr:
-		col := Column{Kind: ColStr, Codes: make([]int32, len(rows))}
-		codes := make(map[string]int32)
+		col := Column{Kind: ColStr, Codes: make([]int32, len(rows)), codes: make(map[string]int32)}
 		for i, r := range rows {
 			v := r[ci]
 			if v.IsNull() {
 				col.Codes[i] = -1
 				continue
 			}
-			code, ok := codes[v.Str]
-			if !ok {
-				code = int32(len(col.Dict))
-				col.Dict = append(col.Dict, v.Str)
-				codes[v.Str] = code
-			}
-			col.Codes[i] = code
+			col.Codes[i] = col.code(v.Str)
 		}
 		return col
 	default:
@@ -157,6 +152,119 @@ func buildColumn(rows [][]Value, ci int) Column {
 		return col
 	}
 }
+
+// code returns s's dictionary code, appending s to the dictionary when
+// it is new.
+func (col *Column) code(s string) int32 {
+	c, ok := col.codes[s]
+	if !ok {
+		c = int32(len(col.Dict))
+		col.Dict = append(col.Dict, s)
+		col.codes[s] = c
+	}
+	return c
+}
+
+// fits reports whether v can join the column without changing the
+// kind BuildColumnar would have classified it as: canonical numbers
+// (NaN excluded) in ColNum, canonical strings in ColStr, canonical
+// NULLs in either, anything in ColMixed.
+func (col *Column) fits(v Value) bool {
+	switch {
+	case col.Kind == ColMixed || v == (Value{Kind: KindNull}):
+		return true
+	case col.Kind == ColNum:
+		return v == Num(v.Num)
+	default:
+		return v == Str(v.Str)
+	}
+}
+
+// Derive returns the projection of the table whose rows are ct's rows
+// minus the positions in drop (ascending), followed by added — the
+// epoch-to-epoch step of a versioned store, so a new data epoch never
+// pays a full BuildColumnar. Old dictionary entries keep their codes
+// (no value is re-boxed, re-classified or re-hashed); kept runs are
+// copied, or, for a pure append (empty drop), the vectors are extended
+// past ct.N in place, sharing ct's backing arrays. ct stays valid for
+// its readers, who never look past ct.N, but must not be derived from
+// again. ok=false, with ct untouched, when an added value would change
+// a column's kind (a string into a numeric column, NaN, a boolean):
+// the caller rebuilds with BuildColumnar.
+func (ct *ColumnarTable) Derive(drop []int32, added [][]Value) (*ColumnarTable, bool) {
+	for _, r := range added {
+		for ci := range ct.cols {
+			if !ct.cols[ci].fits(r[ci]) {
+				return nil, false
+			}
+		}
+	}
+	n := ct.N - len(drop) + len(added)
+	out := &ColumnarTable{Name: ct.Name, Cols: ct.Cols, N: n, cols: make([]Column, len(ct.cols)), byName: ct.byName}
+	for ci := range ct.cols {
+		src := &ct.cols[ci]
+		col := Column{Kind: src.Kind, Dict: src.Dict, codes: src.codes}
+		switch src.Kind {
+		case ColNum:
+			col.Nums = keepRuns(src.Nums, drop, len(added))
+			if src.Nulls != nil {
+				col.Nulls = keepRuns(src.Nulls, drop, len(added))
+			}
+			for _, r := range added {
+				if r[ci].Kind == KindNull {
+					if col.Nulls == nil {
+						col.Nulls = make([]bool, len(col.Nums), n)
+					}
+					col.Nums = append(col.Nums, 0)
+					col.Nulls = append(col.Nulls, true)
+					continue
+				}
+				col.Nums = append(col.Nums, r[ci].Num)
+				if col.Nulls != nil {
+					col.Nulls = append(col.Nulls, false)
+				}
+			}
+		case ColStr:
+			col.Codes = keepRuns(src.Codes, drop, len(added))
+			for _, r := range added {
+				c := int32(-1)
+				if r[ci].Kind != KindNull {
+					c = col.code(r[ci].Str)
+				}
+				col.Codes = append(col.Codes, c)
+			}
+		default:
+			col.Vals = keepRuns(src.Vals, drop, len(added))
+			for _, r := range added {
+				col.Vals = append(col.Vals, r[ci])
+			}
+		}
+		out.cols[ci] = col
+	}
+	return out, true
+}
+
+// keepRuns returns src without the positions in drop (ascending), with
+// room for extra more elements plus an eighth of slack, so the appends
+// that follow a mutation extend in place too. An empty drop returns
+// src itself, so appends extend its backing array in place.
+func keepRuns[T any](src []T, drop []int32, extra int) []T {
+	if len(drop) == 0 {
+		return src
+	}
+	n := len(src) - len(drop)
+	out := make([]T, 0, n+extra+n/8)
+	prev := 0
+	for _, d := range drop {
+		out = append(out, src[prev:d]...)
+		prev = int(d) + 1
+	}
+	return append(out, src[prev:]...)
+}
+
+// Column returns the column vector at position ci. Callers must treat
+// it as read-only.
+func (ct *ColumnarTable) Column(ci int) *Column { return &ct.cols[ci] }
 
 // colIndexOf resolves a column name (case-insensitive, first
 // occurrence wins — the same rule the row-at-a-time binding lookup

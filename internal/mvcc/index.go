@@ -1,22 +1,24 @@
 // Secondary indexes over the version arena. An index on a column is a
-// sorted run of (key, *RowVersion) entries plus an append-only tail:
+// sorted run of (key, arena slot) entries plus an append-only tail:
 // writers (under the store lock) append new versions' entries to the
 // tail and occasionally fold the tail into a freshly-allocated sorted
 // run, while every Publish captures an immutable (sorted, tail-prefix)
 // snapshot into the view. Epoch-chain correctness needs no extra
 // bookkeeping: a pinned view's snapshot physically cannot contain
 // entries appended after its publish, and entries for versions retired
-// at or before the view's epoch are dropped by the same VisibleAt
-// filter materialization uses — so an index lookup at epoch E sees
-// exactly the rows a scan at E sees.
+// at or before the view's epoch map to no row position in the view's
+// slot → position map — so an index lookup at epoch E sees exactly the
+// rows a scan at E sees. Compact renumbers the slots and rebuilds the
+// runs; views published before it keep their own runs and maps.
 //
 // Keys normalize values into engine.Equal's equivalence classes:
 // anything numerically coercible (numbers, numeric strings, bools)
 // keys by its float64; everything else keys by its string form. NULLs
-// are not indexed (SQL equality never matches them) and NaN is
-// excluded on both sides (engine.Compare treats NaN as equal to every
-// number, which no sorted structure can serve — those lookups fall
-// back to the scan kernels).
+// are not indexed (SQL equality never matches them). NaN has no place
+// in a sorted structure, since engine.Compare treats it as equal to
+// every number: NaN keys fall back to the scan kernels, and so does a
+// numeric key while a view can see a NaN cell (numeric NaN or a string
+// that parses as one), whose slots the index records on the side.
 package mvcc
 
 import (
@@ -27,10 +29,10 @@ import (
 )
 
 type ixEntry struct {
-	num bool
-	f   float64
-	s   string
-	rv  *RowVersion
+	f    float64
+	s    string
+	slot int32 // arena slot of the indexed version
+	num  bool
 }
 
 // ixKeyOf normalizes a value into its index key, reporting ok=false
@@ -75,22 +77,36 @@ type colIndex struct {
 	pos    int // column position in Vals
 	sorted []ixEntry
 	tail   []ixEntry
+	nans   []int32 // slots of versions whose cell is numerically NaN
 }
 
 // ixSnap is the immutable per-view snapshot of one column's index.
 type ixSnap struct {
 	sorted []ixEntry
 	tail   []ixEntry
+	nans   []int32
+}
+
+// add files the cell of the version in slot onto run under its key;
+// NaN cells go to ix.nans instead, NULLs nowhere.
+func (ix *colIndex) add(run *[]ixEntry, rv *RowVersion, slot int32) {
+	val := rv.Vals[ix.pos]
+	e, ok := ixKeyOf(val)
+	switch {
+	case ok:
+		e.slot = slot
+		*run = append(*run, e)
+	case !val.IsNull():
+		ix.nans = append(ix.nans, slot)
+	}
 }
 
 func (ix *colIndex) rebuild(versions []*RowVersion) {
 	ix.sorted = ix.sorted[:0:0]
 	ix.tail = nil
-	for _, rv := range versions {
-		if e, ok := ixKeyOf(rv.Vals[ix.pos]); ok {
-			e.rv = rv
-			ix.sorted = append(ix.sorted, e)
-		}
+	ix.nans = nil
+	for s, rv := range versions {
+		ix.add(&ix.sorted, rv, int32(s))
 	}
 	sort.SliceStable(ix.sorted, func(i, j int) bool { return ixLess(ix.sorted[i], ix.sorted[j]) })
 }
@@ -158,12 +174,9 @@ func (t *Table) IndexedCols() []string {
 }
 
 // indexAdd inserts one freshly-appended version into every index tail.
-func (t *Table) indexAdd(rv *RowVersion) {
+func (t *Table) indexAdd(rv *RowVersion, slot int32) {
 	for _, ix := range t.indexes {
-		if e, ok := ixKeyOf(rv.Vals[ix.pos]); ok {
-			e.rv = rv
-			ix.tail = append(ix.tail, e)
-		}
+		ix.add(&ix.tail, rv, slot)
 	}
 }
 
@@ -177,7 +190,7 @@ func (t *Table) snapIndexes() map[string]ixSnap {
 	out := make(map[string]ixSnap, len(t.indexes))
 	for k, ix := range t.indexes {
 		ix.maybeMerge()
-		out[k] = ixSnap{sorted: ix.sorted, tail: ix.tail[:len(ix.tail):len(ix.tail)]}
+		out[k] = ixSnap{sorted: ix.sorted, tail: ix.tail[:len(ix.tail):len(ix.tail)], nans: ix.nans[:len(ix.nans):len(ix.nans)]}
 	}
 	return out
 }
@@ -185,8 +198,9 @@ func (t *Table) snapIndexes() map[string]ixSnap {
 // Lookup returns the positions (ascending indices into Table()'s rows)
 // whose indexed column satisfies SQL equality with key at this view's
 // epoch, or ok=false when no index covers the column or the key cannot
-// be served (NaN). A NULL key is served as an empty result — equality
-// with NULL is never true.
+// be served (a NaN key, or a numeric key while a NaN cell is visible).
+// A NULL key is served as an empty result — equality with NULL is
+// never true.
 func (v *View) Lookup(col string, key engine.Value) ([]int32, bool) {
 	if len(v.indexes) == 0 {
 		return nil, false
@@ -202,52 +216,52 @@ func (v *View) Lookup(col string, key engine.Value) ([]int32, bool) {
 	if !ok {
 		return nil, false
 	}
-	pos := v.posIndex()
+	// Equal keys sit in slot order in both the sorted run (stable
+	// sorts and merges over slot-ordered input) and the tail (whose
+	// slots all follow the run's), and visible positions grow with the
+	// slot, so the positions come out ascending.
+	pos := v.materialize().pos
+	if want.num {
+		for _, s := range snap.nans {
+			if pos[s] >= 0 {
+				return nil, false
+			}
+		}
+	}
 	var out []int32
 	lo := sort.Search(len(snap.sorted), func(i int) bool { return !ixLess(snap.sorted[i], want) })
 	for i := lo; i < len(snap.sorted) && ixEq(snap.sorted[i], want); i++ {
-		if rv := snap.sorted[i].rv; rv.VisibleAt(v.epoch) {
-			if p, ok := pos[rv.RowID]; ok {
-				out = append(out, p)
-			}
+		if p := pos[snap.sorted[i].slot]; p >= 0 {
+			out = append(out, p)
 		}
 	}
 	for _, e := range snap.tail {
-		if ixEq(e, want) && e.rv.VisibleAt(v.epoch) {
-			if p, ok := pos[e.rv.RowID]; ok {
+		if ixEq(e, want) {
+			if p := pos[e.slot]; p >= 0 {
 				out = append(out, p)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, true
 }
 
-// posIndex lazily builds the rowid -> row position map over the
-// materialized rows. Concurrent first calls may build it twice; the
-// CAS keeps exactly one.
-func (v *View) posIndex() map[uint64]int32 {
-	if m := v.pos.Load(); m != nil {
-		return *m
-	}
-	ids := v.materialize().ids
-	m := make(map[uint64]int32, len(ids))
-	for i, id := range ids {
-		m[id] = int32(i)
-	}
-	v.pos.CompareAndSwap(nil, &m)
-	return *v.pos.Load()
-}
-
-// Columnar returns the columnar projection of the view's visible rows,
-// built at most once per view (per data epoch) and shared by every
-// concurrent reader — the engine.ColumnarProvider plumbing for store
-// snapshots.
+// Columnar returns the columnar projection of the view's visible rows:
+// derived by Publish from the previous view's when that one had it,
+// otherwise built here from scratch at most once per view (per data
+// epoch) and shared by every concurrent reader — the
+// engine.ColumnarProvider plumbing for store snapshots.
 func (v *View) Columnar() *engine.ColumnarTable {
 	if c := v.col.Load(); c != nil {
 		return c
 	}
-	ct := engine.BuildColumnar(v.Table())
-	v.col.CompareAndSwap(nil, ct)
-	return v.col.Load()
+	tab := v.Table()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if c := v.col.Load(); c != nil {
+		return c
+	}
+	c := engine.BuildColumnar(tab)
+	v.col.Store(c)
+	mxColFull.Inc()
+	return c
 }

@@ -59,7 +59,7 @@ func TestIndexMatchesScanAcrossEpochs(t *testing.T) {
 		{engine.Num(1), engine.Num(30)},
 		{engine.Str("a"), engine.Num(40)},
 	}, 1)
-	v1 := wt.Publish(1, 4)
+	v1 := wt.Publish(1)
 
 	// Epoch 2: update row 0's key 1 -> 2, delete the string row.
 	if err := wt.Mutate(
@@ -67,14 +67,14 @@ func TestIndexMatchesScanAcrossEpochs(t *testing.T) {
 		[]uint64{ids[3]}, 2); err != nil {
 		t.Fatal(err)
 	}
-	v2 := wt.Publish(2, 0)
+	v2 := wt.Publish(2)
 
 	// Epoch 3: append more rows, one sharing key 2.
 	wt.Append([][]engine.Value{
 		{engine.Num(2), engine.Num(50)},
 		{engine.Str("a"), engine.Num(60)},
 	}, 3)
-	v3 := wt.Publish(3, 2)
+	v3 := wt.Publish(3)
 
 	keys := []engine.Value{
 		engine.Num(1), engine.Num(2), engine.Str("a"),
@@ -109,16 +109,19 @@ func TestIndexMatchesScanAcrossEpochs(t *testing.T) {
 
 // TestIndexUnindexableKeys: NULL keys are an empty (served) result,
 // NaN keys fall back to the scan kernels, and NULL/NaN cell values
-// never enter the index.
+// never enter the sorted runs. A visible NaN cell equals every number
+// under engine.Equal, so numeric lookups decline to the scan while one
+// is visible and are served again once it is deleted.
 func TestIndexUnindexableKeys(t *testing.T) {
 	wt := NewTable("t", []string{"k"})
 	wt.EnableIndex("k")
-	wt.Append([][]engine.Value{
+	ids := wt.Append([][]engine.Value{
 		{engine.Null()},
 		{engine.Num(math.NaN())},
 		{engine.Num(5)},
+		{engine.Str("a")},
 	}, 1)
-	v := wt.Publish(1, 3)
+	v := wt.Publish(1)
 
 	if pos, ok := v.Lookup("k", engine.Null()); !ok || len(pos) != 0 {
 		t.Fatalf("NULL key: pos=%v ok=%v, want empty served result", pos, ok)
@@ -129,8 +132,22 @@ func TestIndexUnindexableKeys(t *testing.T) {
 	if _, ok := v.Lookup("missing", engine.Num(1)); ok {
 		t.Fatal("unindexed column must not be served")
 	}
-	if got := lookupSet(t, v, "k", engine.Num(5)); !sameSet(got, []int32{2}) {
-		t.Fatalf("key 5 positions = %v, want [2]", got)
+	if _, ok := v.Lookup("k", engine.Num(5)); ok {
+		t.Fatalf("key 5 served while a NaN cell (equal to 5 under engine.Equal) is visible; scan = %v", scanSet(v, 0, engine.Num(5)))
+	}
+	if got := lookupSet(t, v, "k", engine.Str("a")); !sameSet(got, scanSet(v, 0, engine.Str("a"))) {
+		t.Fatalf("key a positions = %v, want %v", got, scanSet(v, 0, engine.Str("a")))
+	}
+
+	if err := wt.Mutate(nil, []uint64{ids[1]}, 2); err != nil {
+		t.Fatal(err)
+	}
+	v2 := wt.Publish(2)
+	if got := lookupSet(t, v2, "k", engine.Num(5)); !sameSet(got, []int32{1}) {
+		t.Fatalf("key 5 positions after deleting the NaN row = %v, want [1]", got)
+	}
+	if _, ok := v.Lookup("k", engine.Num(5)); ok {
+		t.Fatal("the pinned epoch-1 view must keep declining: its NaN cell is still visible")
 	}
 }
 
@@ -141,16 +158,16 @@ func TestIndexMergeThreshold(t *testing.T) {
 	wt := NewTable("t", []string{"k", "x"})
 	wt.EnableIndex("k")
 	wt.Append(numRows(10, 0), 1)
-	early := wt.Publish(1, 10)
+	early := wt.Publish(1)
 
 	// Push well past the 64-entry tail threshold in several publishes.
 	epoch := uint64(1)
 	for b := 0; b < 5; b++ {
 		epoch++
 		wt.Append(numRows(40, float64(10+40*b)), epoch)
-		wt.Publish(epoch, 40)
+		wt.Publish(epoch)
 	}
-	head := wt.Publish(epoch, 0)
+	head := wt.Publish(epoch)
 
 	for _, k := range []float64{0, 9, 10, 57, 133, 209} {
 		got := lookupSet(t, head, "k", engine.Num(k))
@@ -175,17 +192,17 @@ func TestIndexCompactRebuild(t *testing.T) {
 	wt := NewTable("t", []string{"k", "x"})
 	wt.EnableIndex("k")
 	ids := wt.Append(numRows(8, 0), 1)
-	v1 := wt.Publish(1, 8)
+	v1 := wt.Publish(1)
 	if err := wt.Mutate(
 		[]Update{{RowID: ids[2], Vals: []engine.Value{engine.Num(100), engine.Num(2)}}},
 		[]uint64{ids[5], ids[6]}, 2); err != nil {
 		t.Fatal(err)
 	}
-	wt.Publish(2, 0)
+	wt.Publish(2)
 	if dropped := wt.Compact(); dropped != 3 {
 		t.Fatalf("Compact dropped %d versions, want 3 (one superseded, two deleted)", dropped)
 	}
-	head := wt.Publish(3, 0)
+	head := wt.Publish(3)
 
 	for _, k := range []float64{0, 2, 5, 100} {
 		got := lookupSet(t, head, "k", engine.Num(k))

@@ -16,14 +16,19 @@
 //     rowid allocator). All its methods are called with the store's
 //     writer lock held.
 //   - View is the immutable per-epoch read handle the store publishes.
-//     Materialize lazily flattens the visible versions into a plain
-//     *engine.Table (cached, built at most once per view), so the
-//     query engine keeps executing against ordinary tables and the
+//     Its read structures — the flattened visible rows as a plain
+//     *engine.Table, the arena-slot → row-position map behind index
+//     lookups, and the columnar projection — are built lazily once
+//     per view on a cold start, and from then on Publish derives each
+//     new view's structures from the previous view's: O(delta) for
+//     appends, one typed pass for updates and deletes. The query
+//     engine keeps executing against ordinary tables and the
 //     epoch-keyed result caches above stay correct by construction.
 package mvcc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -77,17 +82,27 @@ type Table struct {
 	Name string
 	Cols []string
 
-	versions []*RowVersion          // the arena, in append order
-	live     map[uint64]*RowVersion // rowid -> current live version
-	nextID   uint64                 // next rowid to assign
-	mutGen   uint64                 // bumped by every Mutate publish
-	head     *View                  // most recently published view
-	indexes  map[string]*colIndex   // secondary indexes (index.go), keyed by lowercased column
+	versions []*RowVersion        // the arena, in append order
+	live     map[uint64]int32     // rowid -> arena slot of its current live version
+	retired  []int32              // arena slots retired since the last publish
+	nextID   uint64               // next rowid to assign
+	mutGen   uint64               // bumped by every Mutate publish
+	head     *View                // most recently published view; nil after a Compact
+	indexes  map[string]*colIndex // secondary indexes (index.go), keyed by lowercased column
 }
 
 // NewTable returns an empty writer table. RowIDs start at 1.
 func NewTable(name string, cols []string) *Table {
-	return &Table{Name: name, Cols: cols, live: map[uint64]*RowVersion{}, nextID: 1}
+	return &Table{Name: name, Cols: cols, live: map[uint64]int32{}, nextID: 1}
+}
+
+// push appends one version to the arena as the live version of its
+// rowid and indexes it.
+func (t *Table) push(rv *RowVersion) {
+	slot := int32(len(t.versions))
+	t.versions = append(t.versions, rv)
+	t.live[rv.RowID] = slot
+	t.indexAdd(rv, slot)
 }
 
 // Seed returns a writer table pre-populated with rows that are all
@@ -109,12 +124,10 @@ func Seed(name string, cols []string, rows [][]engine.Value, ids []uint64, nextI
 		if id > maxID {
 			maxID = id
 		}
-		rv := &RowVersion{RowID: id, Begin: begin, Vals: r}
 		if _, dup := t.live[id]; dup {
 			return nil, fmt.Errorf("mvcc: table %q: duplicate rowid %d", name, id)
 		}
-		t.versions = append(t.versions, rv)
-		t.live[id] = rv
+		t.push(&RowVersion{RowID: id, Begin: begin, Vals: r})
 	}
 	t.nextID = maxID + 1
 	if nextID > t.nextID {
@@ -149,10 +162,7 @@ func (t *Table) Append(rows [][]engine.Value, epoch uint64) []uint64 {
 	for i, r := range rows {
 		id := t.nextID
 		t.nextID++
-		rv := &RowVersion{RowID: id, Begin: epoch, Vals: r}
-		t.versions = append(t.versions, rv)
-		t.live[id] = rv
-		t.indexAdd(rv)
+		t.push(&RowVersion{RowID: id, Begin: epoch, Vals: r})
 		ids[i] = id
 	}
 	return ids
@@ -181,29 +191,35 @@ func (t *Table) Mutate(updates []Update, deletes []uint64, epoch uint64) error {
 		}
 	}
 	for _, u := range updates {
-		old := t.live[u.RowID]
-		old.retire(epoch)
-		rv := &RowVersion{RowID: u.RowID, Begin: epoch, Vals: u.Vals}
-		t.versions = append(t.versions, rv)
-		t.live[u.RowID] = rv
-		t.indexAdd(rv)
+		t.retire(t.live[u.RowID], epoch)
+		t.push(&RowVersion{RowID: u.RowID, Begin: epoch, Vals: u.Vals})
 	}
 	for _, id := range deletes {
-		t.live[id].retire(epoch)
+		t.retire(t.live[id], epoch)
 		delete(t.live, id)
 	}
 	t.mutGen++
 	return nil
 }
 
+// retire stamps the version in slot as ending at epoch and records
+// the slot for the next publish's derivation.
+func (t *Table) retire(slot int32, epoch uint64) {
+	t.versions[slot].retire(epoch)
+	t.retired = append(t.retired, slot)
+}
+
 // Publish caps the arena at its current length and returns the
-// immutable view of the table at epoch. Append fast-path: when the
-// previous head is already materialized and the publish was pure
-// appends (rowsAdded > 0, same mutGen), the new view's materialization
-// is precomputed by extending the head's flattened rows in O(batch) —
-// the same backing-array prefix sharing the pre-MVCC store used —
-// instead of leaving a lazy O(live-rows) rebuild for the next reader.
-func (t *Table) Publish(epoch uint64, rowsAdded int) *View {
+// immutable view of the table at epoch. Every read structure the
+// previous head has built is derived for the new view here, under the
+// writer lock, instead of being left as a lazy O(table) rebuild for
+// the next reader: a pure append extends the head's rows, positions
+// and column vectors in O(batch), sharing their backing arrays; an
+// UPDATE or DELETE copies their kept runs once and appends the new
+// versions. After a Compact there is no head to derive from, and a
+// value that breaks a column's kind leaves the projection to the lazy
+// engine.BuildColumnar.
+func (t *Table) Publish(epoch uint64) *View {
 	v := &View{
 		name:     t.Name,
 		cols:     t.Cols,
@@ -211,24 +227,88 @@ func (t *Table) Publish(epoch uint64, rowsAdded int) *View {
 		versions: t.versions[:len(t.versions):len(t.versions)],
 		indexes:  t.snapIndexes(),
 	}
-	if prev := t.head; prev != nil && rowsAdded > 0 && prev.mutGen == t.mutGen {
-		if m := prev.mat.Load(); m != nil {
-			added := t.versions[len(t.versions)-rowsAdded:]
-			rows := m.tab.Rows
-			ids := m.ids
-			for _, rv := range added {
-				rows = append(rows, rv.Vals)
-				ids = append(ids, rv.RowID)
-			}
-			v.mat.Store(&matState{
-				tab: &engine.Table{Name: t.Name, Cols: t.Cols, Rows: rows},
-				ids: ids,
-			})
-		}
+	if t.head != nil {
+		t.derive(t.head, v)
 	}
-	v.mutGen = t.mutGen
+	t.retired = t.retired[:0]
 	t.head = v
 	return v
+}
+
+// derive precomputes v's materialization and columnar projection from
+// the head h's, for each one h has built. The delta is the arena slots
+// added since h (kept when visible at v's epoch) and the slots retired
+// since h (dropped at their position in h).
+func (t *Table) derive(h, v *View) {
+	hm := h.mat.Load()
+	if hm == nil {
+		return // the projection is built from the materialization, so neither exists
+	}
+	base := len(h.versions)
+	var drop []int32
+	for _, s := range t.retired {
+		if int(s) < base && hm.pos[s] >= 0 {
+			drop = append(drop, hm.pos[s])
+		}
+	}
+	slices.Sort(drop)
+
+	ids := keepRuns(hm.ids, drop, len(v.versions)-base)
+	rows := keepRuns(hm.tab.Rows, drop, len(v.versions)-base)
+	pos := hm.pos
+	if len(drop) > 0 {
+		pos = make([]int32, base, len(v.versions)+len(v.versions)/8)
+		d := 0
+		for s, p := range hm.pos {
+			if p >= 0 {
+				for d < len(drop) && drop[d] < p {
+					d++
+				}
+				if d < len(drop) && drop[d] == p {
+					p = -1
+				} else {
+					p -= int32(d)
+				}
+			}
+			pos[s] = p
+		}
+	}
+	kept := len(rows)
+	for _, rv := range v.versions[base:] {
+		if !rv.VisibleAt(v.epoch) {
+			pos = append(pos, -1)
+			continue
+		}
+		pos = append(pos, int32(len(rows)))
+		rows = append(rows, rv.Vals)
+		ids = append(ids, rv.RowID)
+	}
+	v.mat.Store(&matState{tab: &engine.Table{Name: t.Name, Cols: t.Cols, Rows: rows}, ids: ids, pos: pos})
+
+	if hc := h.col.Load(); hc != nil {
+		if c, ok := hc.Derive(drop, rows[kept:]); ok {
+			v.col.Store(c)
+			mxColDerived.Inc()
+		}
+	}
+}
+
+// keepRuns returns src without the positions in drop (ascending), with
+// room for extra more elements plus an eighth of slack, so the appends
+// that follow a mutation extend in place too. An empty drop returns
+// src itself, so appends extend its backing array past the head's length.
+func keepRuns[T any](src []T, drop []int32, extra int) []T {
+	if len(drop) == 0 {
+		return src
+	}
+	n := len(src) - len(drop)
+	out := make([]T, 0, n+extra+n/8)
+	prev := 0
+	for _, d := range drop {
+		out = append(out, src[prev:d]...)
+		prev = int(d) + 1
+	}
+	return append(out, src[prev:]...)
 }
 
 // Compact folds fully-superseded versions out of the arena: a fresh
@@ -238,7 +318,9 @@ func (t *Table) Publish(epoch uint64, rowsAdded int) *View {
 // of live rows is preserved, so the visible row order of the head
 // epoch is unchanged and persistence captures are byte-identical
 // before and after. No epoch or mutation-generation bump: compaction
-// is pure memory reclamation, invisible to readers and replicas.
+// is pure memory reclamation, invisible to readers and replicas. It
+// renumbers the arena slots, so the next publish has no head to derive
+// its read structures from and builds them lazily instead.
 // Returns how many retired versions were dropped.
 func (t *Table) Compact() int {
 	if len(t.versions) == len(t.live) {
@@ -247,11 +329,14 @@ func (t *Table) Compact() int {
 	kept := make([]*RowVersion, 0, len(t.live))
 	for _, rv := range t.versions {
 		if rv.Live() {
+			t.live[rv.RowID] = int32(len(kept))
 			kept = append(kept, rv)
 		}
 	}
 	dropped := len(t.versions) - len(kept)
 	t.versions = kept
+	t.retired = t.retired[:0]
+	t.head = nil
 	// Rebuild indexes over the surviving versions: retired entries drop
 	// out. Safe for every future epoch (a retired version's end is <=
 	// the current epoch, so no later view could see it anyway); views
@@ -263,30 +348,32 @@ func (t *Table) Compact() int {
 }
 
 // matState is a view's cached materialization: the flattened visible
-// rows plus the rowid aligned with each row. Built at most once per
-// view and published atomically, so Table() and RowIDs() always agree
-// on row order.
+// rows, the rowid aligned with each row, and the row position of each
+// arena slot (-1 where the slot's version is not visible) — the map
+// index lookups translate through, sized by the arena, which Compact
+// bounds. Built or derived at most once per view and published
+// atomically, so Table(), RowIDs() and Lookup always agree on row
+// order.
 type matState struct {
 	tab *engine.Table
 	ids []uint64
+	pos []int32
 }
 
 // View is one immutable published table version: the arena prefix as
 // of the publish, filtered by visibility at the view's epoch. Views
-// are safe for concurrent use; materialization is lazy with
-// double-checked locking.
+// are safe for concurrent use; read structures not derived at publish
+// are built lazily with double-checked locking.
 type View struct {
 	name     string
 	cols     []string
 	epoch    uint64
-	mutGen   uint64
 	versions []*RowVersion
 	indexes  map[string]ixSnap // per-publish secondary index snapshots (index.go)
 
-	mu  sync.Mutex // serializes the one-time materialization
+	mu  sync.Mutex // serializes the one-time lazy builds
 	mat atomic.Pointer[matState]
-	pos atomic.Pointer[map[uint64]int32]     // lazy rowid -> row position
-	col atomic.Pointer[engine.ColumnarTable] // lazy columnar projection
+	col atomic.Pointer[engine.ColumnarTable]
 }
 
 // Name returns the table's declared (original-case) name.
@@ -296,9 +383,10 @@ func (v *View) Name() string { return v.name }
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // Table returns the flattened visible rows as a plain *engine.Table —
-// the drop-in execution target for engine.Exec. The first call per
-// view pays one O(visible-rows) scan; later calls return the cached
-// table. Callers must treat the result as immutable.
+// the drop-in execution target for engine.Exec. Publish derives it
+// from the previous view's when that one was materialized; otherwise
+// the first call per view pays one O(arena) scan. Later calls return
+// the cached table. Callers must treat the result as immutable.
 func (v *View) Table() *engine.Table { return v.materialize().tab }
 
 // RowIDs returns the rowid for each row of Table(), index-aligned —
@@ -320,13 +408,17 @@ func (v *View) materialize() *matState {
 	}
 	rows := make([][]engine.Value, 0, len(v.versions))
 	ids := make([]uint64, 0, len(v.versions))
-	for _, rv := range v.versions {
-		if rv.VisibleAt(v.epoch) {
-			rows = append(rows, rv.Vals)
-			ids = append(ids, rv.RowID)
+	pos := make([]int32, len(v.versions))
+	for s, rv := range v.versions {
+		if !rv.VisibleAt(v.epoch) {
+			pos[s] = -1
+			continue
 		}
+		pos[s] = int32(len(rows))
+		rows = append(rows, rv.Vals)
+		ids = append(ids, rv.RowID)
 	}
-	m := &matState{tab: &engine.Table{Name: v.name, Cols: v.cols, Rows: rows}, ids: ids}
+	m := &matState{tab: &engine.Table{Name: v.name, Cols: v.cols, Rows: rows}, ids: ids, pos: pos}
 	v.mat.Store(m)
 	return m
 }

@@ -30,7 +30,7 @@ func rowVal(t *testing.T, tab *engine.Table, i int) float64 {
 func TestVisibilityAcrossEpochs(t *testing.T) {
 	wt := NewTable("t", []string{"a", "x"})
 	ids := wt.Append(numRows(4, 100), 1)
-	v1 := wt.Publish(1, 4)
+	v1 := wt.Publish(1)
 	if v1.NumRows() != 4 {
 		t.Fatalf("epoch-1 view has %d rows, want 4", v1.NumRows())
 	}
@@ -40,7 +40,7 @@ func TestVisibilityAcrossEpochs(t *testing.T) {
 		[]uint64{ids[3]}, 2); err != nil {
 		t.Fatal(err)
 	}
-	v2 := wt.Publish(2, 0)
+	v2 := wt.Publish(2)
 
 	// The old view still serves the pre-mutation row set.
 	if v1.NumRows() != 4 || rowVal(t, v1.Table(), 0) != 100 {
@@ -76,14 +76,14 @@ func TestVisibilityAcrossEpochs(t *testing.T) {
 func TestMutateValidatesBeforeApplying(t *testing.T) {
 	wt := NewTable("t", []string{"a", "x"})
 	ids := wt.Append(numRows(3, 0), 1)
-	wt.Publish(1, 3)
+	wt.Publish(1)
 	err := wt.Mutate(
 		[]Update{{RowID: ids[0], Vals: []engine.Value{engine.Num(1), engine.Num(1)}}},
 		[]uint64{777}, 2)
 	if err == nil {
 		t.Fatal("mutation with unknown delete rowid applied")
 	}
-	v := wt.Publish(2, 0)
+	v := wt.Publish(2)
 	if v.NumRows() != 3 || rowVal(t, v.Table(), 0) != 0 {
 		t.Fatalf("failed mutation left partial state: %d rows, row0=%v", v.NumRows(), v.Table().Rows[0])
 	}
@@ -102,11 +102,11 @@ func TestMutateValidatesBeforeApplying(t *testing.T) {
 func TestCompactKeepsOldViewsIntact(t *testing.T) {
 	wt := NewTable("t", []string{"a", "x"})
 	ids := wt.Append(numRows(10, 0), 1)
-	v1 := wt.Publish(1, 10)
+	v1 := wt.Publish(1)
 	if err := wt.Mutate(nil, ids[:5], 2); err != nil {
 		t.Fatal(err)
 	}
-	v2 := wt.Publish(2, 0)
+	v2 := wt.Publish(2)
 
 	if wt.VersionCount() != 10 {
 		t.Fatalf("arena = %d versions before compact, want 10", wt.VersionCount())
@@ -129,39 +129,113 @@ func TestCompactKeepsOldViewsIntact(t *testing.T) {
 	}
 	// Post-compaction publishes keep working with stable identity.
 	wt.Append(numRows(1, 500), 3)
-	v3 := wt.Publish(3, 1)
+	v3 := wt.Publish(3)
 	if v3.NumRows() != 6 || v3.RowIDs()[5] != ids[9]+1 {
 		t.Fatalf("post-compact append: %d rows, last id %d", v3.NumRows(), v3.RowIDs()[5])
 	}
 }
 
-// TestPublishAppendFastPath: an append publish onto a materialized
-// head precomputes the new materialization by sharing the head's row
-// prefix — same backing array, no per-row copy.
+// TestPublishAppendFastPath: once a head has its read structures built,
+// Publish derives the next view's without a full build. A 1-row append
+// shares the head's row prefix, slot → position map and column vectors
+// (same backing arrays, no per-row copy); a DELETE copies the kept runs
+// and the new view has its projection before any reader asks. Build
+// counts come from pi_columnar_builds_total.
 func TestPublishAppendFastPath(t *testing.T) {
 	wt := NewTable("t", []string{"a", "x"})
-	wt.Append(numRows(100, 0), 1)
-	v1 := wt.Publish(1, 100)
-	t1 := v1.Table() // materialize the head
+	wt.EnableIndex("a")
+	wt.Append(numRows(99, 0), 0)
+	wt.Publish(0).Columnar() // cold build: rows, ids, positions, projection
+	full, derived := mxColFull.Value(), mxColDerived.Value()
+	// The first append outgrows the cold build's exact-size vectors;
+	// from then on appends extend in place.
+	wt.Append(numRows(1, 99), 1)
+	v1 := wt.Publish(1)
+	t1, c1 := v1.Table(), v1.Columnar()
 
 	wt.Append(numRows(1, 1000), 2)
-	v2 := wt.Publish(2, 1)
+	v2 := wt.Publish(2)
+	if v2.mat.Load() == nil || v2.col.Load() == nil {
+		t.Fatal("append publish onto a built head left the read structures to a lazy build")
+	}
 	t2 := v2.Table()
 	if len(t2.Rows) != 101 {
 		t.Fatalf("appended view has %d rows", len(t2.Rows))
 	}
-	if &t1.Rows[0][0] != &t2.Rows[0][0] {
+	if &t1.Rows[0] != &t2.Rows[0] {
 		t.Fatal("append publish copied the shared row prefix")
 	}
-	// After a mutation the fast path must NOT extend the stale prefix.
+	if m1, m2 := v1.mat.Load(), v2.mat.Load(); &m1.pos[0] != &m2.pos[0] || &m1.ids[0] != &m2.ids[0] {
+		t.Fatal("append publish copied the slot -> position map or the rowids")
+	}
+	c2 := v2.Columnar()
+	for ci := range wt.Cols {
+		if &c1.Column(ci).Nums[0] != &c2.Column(ci).Nums[0] {
+			t.Fatalf("append publish copied column %d's vector", ci)
+		}
+	}
+	if got := c2.Column(0).Nums[100]; got != 1000 || c2.N != 101 {
+		t.Fatalf("derived projection: N=%d, appended a=%v", c2.N, got)
+	}
+	if pos, _ := v2.Lookup("a", engine.Num(1000)); !sameSet(pos, []int32{100}) {
+		t.Fatalf("appended row at positions %v, want [100]", pos)
+	}
+	if mxColFull.Value() != full || mxColDerived.Value() != derived+2 {
+		t.Fatalf("append publishes: full builds +%d, derived +%d; want +0, +2",
+			mxColFull.Value()-full, mxColDerived.Value()-derived)
+	}
+
+	// A DELETE derives too: the kept runs are copied, the head's
+	// vectors are untouched, and no full build runs.
 	ids := v2.RowIDs()
 	if err := wt.Mutate(nil, []uint64{ids[0]}, 3); err != nil {
 		t.Fatal(err)
 	}
-	wt.Append(numRows(1, 2000), 3)
-	v3 := wt.Publish(3, 1)
-	if v3.NumRows() != 101 {
-		t.Fatalf("post-mutation view has %d rows, want 101", v3.NumRows())
+	v3 := wt.Publish(3)
+	c3 := v3.col.Load()
+	if c3 == nil {
+		t.Fatal("DELETE publish onto a built head left the projection to a lazy build")
+	}
+	if c3.N != 100 || c3.Column(0).Nums[0] != 1 || c2.Column(0).Nums[0] != 0 {
+		t.Fatalf("derived projection after DELETE: N=%d a[0]=%v, head a[0]=%v",
+			c3.N, c3.Column(0).Nums[0], c2.Column(0).Nums[0])
+	}
+	if pos, _ := v3.Lookup("a", engine.Num(1000)); !sameSet(pos, []int32{99}) {
+		t.Fatalf("after DELETE the appended row is at %v, want [99]", pos)
+	}
+	if mxColFull.Value() != full || mxColDerived.Value() != derived+3 {
+		t.Fatalf("DELETE publish: full builds +%d, derived +%d; want +0, +3",
+			mxColFull.Value()-full, mxColDerived.Value()-derived)
+	}
+
+	// After a mutation the append must extend the new rows, not the
+	// stale prefix.
+	wt.Append(numRows(1, 2000), 4)
+	v4 := wt.Publish(4)
+	if v4.NumRows() != 101 {
+		t.Fatalf("post-mutation view has %d rows, want 101", v4.NumRows())
+	}
+
+	// A value that breaks a column's kind, and a Compact, each leave
+	// the next projection to one full build.
+	wt.Append([][]engine.Value{{engine.Str("x"), engine.Num(0)}}, 5)
+	v5 := wt.Publish(5)
+	if v5.col.Load() != nil {
+		t.Fatal("a string into a numeric column was derived")
+	}
+	v5.Columnar()
+	if err := wt.Mutate(nil, []uint64{ids[1]}, 6); err != nil {
+		t.Fatal(err)
+	}
+	wt.Compact()
+	v6 := wt.Publish(6)
+	if v6.mat.Load() != nil || v6.col.Load() != nil {
+		t.Fatal("publish after Compact derived from a renumbered arena")
+	}
+	v6.Columnar()
+	if mxColFull.Value() != full+2 || mxColDerived.Value() != derived+4 {
+		t.Fatalf("kind break + Compact: full builds +%d, derived +%d; want +2, +4",
+			mxColFull.Value()-full, mxColDerived.Value()-derived)
 	}
 }
 
@@ -172,7 +246,7 @@ func TestSeedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := wt.Publish(5, 0)
+	v := wt.Publish(5)
 	if got := v.RowIDs(); got[0] != 7 || got[1] != 3 || got[2] != 9 {
 		t.Fatalf("seeded rowids = %v", got)
 	}
@@ -201,7 +275,7 @@ func TestMutationPublishBeatsRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wt.Publish(1, 0)
+	wt.Publish(1)
 
 	updates := make([]Update, touched)
 	for i := range updates {
@@ -215,7 +289,7 @@ func TestMutationPublishBeatsRebuild(t *testing.T) {
 			if err := wt.Mutate(updates, nil, epoch); err != nil {
 				b.Fatal(err)
 			}
-			wt.Publish(epoch, 0)
+			wt.Publish(epoch)
 			if i%iters == iters-1 {
 				wt.Compact() // keep the arena bounded, as the persister does
 			}
@@ -228,7 +302,7 @@ func TestMutationPublishBeatsRebuild(t *testing.T) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nt.Publish(uint64(i+2), 0)
+			nt.Publish(uint64(i + 2))
 		}
 	})
 
@@ -250,7 +324,7 @@ func TestRowIDAndTableAlignment(t *testing.T) {
 	if err := wt.Mutate(nil, []uint64{ids[10], ids[20]}, 2); err != nil {
 		t.Fatal(err)
 	}
-	v := wt.Publish(2, 0)
+	v := wt.Publish(2)
 	tab, vids := v.Table(), v.RowIDs()
 	if len(tab.Rows) != len(vids) {
 		t.Fatalf("rows/ids misaligned: %d vs %d", len(tab.Rows), len(vids))
@@ -269,7 +343,7 @@ func BenchmarkMutatePublish1Pct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wt.Publish(1, 0)
+	wt.Publish(1)
 	updates := make([]Update, total/100)
 	for i := range updates {
 		updates[i] = Update{RowID: uint64(i*100 + 1), Vals: []engine.Value{engine.Num(-1), engine.Num(-1)}}
@@ -280,7 +354,7 @@ func BenchmarkMutatePublish1Pct(b *testing.B) {
 		if err := wt.Mutate(updates, nil, epoch); err != nil {
 			b.Fatal(err)
 		}
-		wt.Publish(epoch, 0)
+		wt.Publish(epoch)
 		if i%32 == 31 {
 			wt.Compact()
 		}
@@ -292,9 +366,9 @@ var sinkErr error
 func ExampleTable_Mutate() {
 	wt := NewTable("t", []string{"a"})
 	ids := wt.Append([][]engine.Value{{engine.Num(1)}, {engine.Num(2)}}, 1)
-	wt.Publish(1, 2)
+	wt.Publish(1)
 	sinkErr = wt.Mutate([]Update{{RowID: ids[0], Vals: []engine.Value{engine.Num(10)}}}, []uint64{ids[1]}, 2)
-	v := wt.Publish(2, 0)
+	v := wt.Publish(2)
 	fmt.Println(v.NumRows(), v.Table().Rows[0][0].String())
 	// Output: 1 10
 }

@@ -114,13 +114,15 @@ func (v *View) RowIDs(name string) ([]uint64, bool) {
 	return t.RowIDs(), true
 }
 
-// Columnar implements engine.ColumnarProvider: the cached columnar
-// projection of the named table's visible rows, built at most once per
-// table per data epoch (it lives on the underlying mvcc.View, which is
-// shared by every snapshot of the same epoch) and dropped automatically
-// when the epoch moves on — the same lifetime as every other epoch-
-// keyed cache above the store, so hot-swap, failover and WAL replay
-// need no extra invalidation.
+// Columnar implements engine.ColumnarProvider: the columnar projection
+// of the named table's visible rows at this epoch. It lives on the
+// underlying mvcc.View, which is shared by every snapshot of the same
+// epoch: the writer derives it from the previous epoch's projection at
+// publish (O(delta) for appends, one typed copy for updates and
+// deletes), and only a cold view builds it from scratch, at most once.
+// It has the same lifetime as every other epoch-keyed cache above the
+// store, so hot-swap, failover and WAL replay need no extra
+// invalidation.
 func (v *View) Columnar(name string) (*engine.ColumnarTable, bool) {
 	t, ok := v.lookup(name)
 	if !ok {
@@ -193,7 +195,7 @@ func FromDB(db *engine.DB) *Store {
 			panic(err)
 		}
 		s.tables[name] = wt
-		views[name] = wt.Publish(1, 0)
+		views[name] = wt.Publish(1)
 	}
 	funcs := map[string]engine.TableFunc{}
 	for _, name := range db.FuncNames() {
@@ -228,7 +230,7 @@ func seed(tables []TableData, epoch uint64) (*Store, error) {
 		}
 		key := strings.ToLower(td.Name)
 		s.tables[key] = wt
-		views[key] = wt.Publish(epoch, 0)
+		views[key] = wt.Publish(epoch)
 	}
 	s.v.Store(&version{view: View{epoch: epoch, tables: views, funcs: map[string]engine.TableFunc{}}})
 	return s, nil
@@ -311,7 +313,7 @@ func (s *Store) AppendRows(table string, rows [][]engine.Value) (uint64, error) 
 	}
 	epoch := cur.view.epoch + 1
 	t.Append(rows, epoch)
-	s.publish(epoch, key, t.Publish(epoch, len(rows)))
+	s.publish(epoch, key, t.Publish(epoch))
 	return epoch, nil
 }
 
@@ -342,7 +344,7 @@ func (s *Store) MutateRows(table string, updates []RowUpdate, deletes []uint64) 
 	if err := t.Mutate(ups, deletes, epoch); err != nil {
 		return cur.view.epoch, err
 	}
-	s.publish(epoch, key, t.Publish(epoch, 0))
+	s.publish(epoch, key, t.Publish(epoch))
 	return epoch, nil
 }
 
@@ -363,7 +365,7 @@ func (s *Store) AddTable(t *engine.Table) uint64 {
 	for col := range s.indexCols[key] {
 		wt.EnableIndex(col)
 	}
-	s.publish(epoch, key, wt.Publish(epoch, 0))
+	s.publish(epoch, key, wt.Publish(epoch))
 	return epoch
 }
 
@@ -390,7 +392,7 @@ func (s *Store) EnableIndex(table, col string) bool {
 		return false
 	}
 	cur := &s.v.Load().view
-	s.publish(cur.epoch, key, t.Publish(cur.epoch, 0))
+	s.publish(cur.epoch, key, t.Publish(cur.epoch))
 	return true
 }
 

@@ -3,7 +3,9 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -113,24 +115,45 @@ func TestAppendRowsValidation(t *testing.T) {
 }
 
 // TestConcurrentExecWhileAppending hammers Exec against snapshots
-// while a writer streams appends — run under -race, this is the
-// storage layer's core concurrency contract: readers pin a snapshot
-// and never see a torn state.
+// while a writer streams appends, UPDATEs and DELETEs — run under
+// -race, this is the storage layer's core concurrency contract:
+// readers pin a snapshot and never see a torn state. Once the head has
+// its read structures, every publish derives the next epoch's from
+// them, and appends extend the very backing arrays older snapshots
+// read. So readers also pin older snapshots and run a columnar,
+// index-served query on them, which must match the row path and stay
+// stable.
 func TestConcurrentExecWhileAppending(t *testing.T) {
 	st := FromDB(seedDB(t, 50))
+	if !st.EnableIndex("t", "x") {
+		t.Fatal("EnableIndex(t.x) = false")
+	}
 	q, err := sqlparser.Parse("SELECT count(*), sum(x) FROM t WHERE x > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	iq, err := sqlparser.Parse("SELECT count(*), sum(a), min(a) FROM t WHERE x = 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, ok := engine.CompileColumnar(iq)
+	if !ok {
+		t.Fatal("indexed query does not compile to a columnar plan")
+	}
 
 	const appends = 200
+	var pinned [8]atomic.Pointer[View]
+	for i := range pinned {
+		pinned[i].Store(st.Snapshot())
+	}
+	var reads atomic.Int64 // reader iterations, so writes interleave with reads
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for {
+			for n := g; ; n++ {
 				select {
 				case <-stop:
 					return
@@ -153,19 +176,57 @@ func TestConcurrentExecWhileAppending(t *testing.T) {
 					t.Errorf("snapshot not stable: %v vs %v", res.Rows[0][0], again.Rows[0][0])
 					return
 				}
+
+				old := pinned[n%len(pinned)].Load()
+				if n%3 == 0 {
+					pinned[n%len(pinned)].Store(snap)
+				}
+				col, ran, err := engine.ExecColumnar(old, plan)
+				if !ran || err != nil {
+					t.Errorf("columnar exec on a pinned snapshot: ran=%v err=%v", ran, err)
+					return
+				}
+				row, err := engine.Exec(old, iq)
+				if err != nil {
+					t.Errorf("row exec on a pinned snapshot: %v", err)
+					return
+				}
+				for k := range row.Rows[0] {
+					if col.Rows[0][k] != row.Rows[0][k] {
+						t.Errorf("epoch %d: columnar %v, row path %v", old.Epoch(), col.Rows[0], row.Rows[0])
+						return
+					}
+				}
+				reads.Add(1)
 			}
-		}()
+		}(g)
 	}
+	added, deleted := 0, 0
 	for i := 0; i < appends; i++ {
-		if _, err := st.AppendRows("t", [][]engine.Value{row(float64(i), float64(i))}); err != nil {
+		for reads.Load() < int64(i) && !t.Failed() {
+			runtime.Gosched()
+		}
+		var err error
+		ids, _ := st.Snapshot().RowIDs("t")
+		switch i % 4 {
+		case 1:
+			_, err = st.MutateRows("t", []RowUpdate{{RowID: ids[i%len(ids)], Vals: row(float64(-i), 3)}}, nil)
+		case 2:
+			_, err = st.MutateRows("t", nil, []uint64{ids[(i*7)%len(ids)]})
+			deleted++
+		default:
+			_, err = st.AppendRows("t", [][]engine.Value{row(float64(i), float64(i%5))})
+			added++
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	if got := countRows(t, st.Snapshot(), "SELECT count(*) FROM t"); got != 50+appends {
-		t.Fatalf("final count %v, want %d", got, 50+appends)
+	if got := countRows(t, st.Snapshot(), "SELECT count(*) FROM t"); got != float64(50+added-deleted) {
+		t.Fatalf("final count %v, want %d", got, 50+added-deleted)
 	}
 	if st.Epoch() != 1+appends {
 		t.Fatalf("final epoch %d, want %d", st.Epoch(), 1+appends)

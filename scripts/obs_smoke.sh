@@ -3,7 +3,9 @@
 # shards behind a router running -replicas 2, drive routed queries and
 # acked row appends, then scrape GET /v1/metrics on all three
 # processes and assert the query, WAL, replication and router-proxy
-# series exist and moved. Finally pin the cross-hop trace contract: a
+# series exist and moved — and that a row append followed by a query
+# derived the columnar projection from the previous epoch's instead of
+# rebuilding it. Finally pin the cross-hop trace contract: a
 # client-supplied Pi-Trace-Id sent to the router must come back on the
 # response, show up in the owning shard's request log, and land in
 # both the router's and the shard's /v1/debug/slow rings.
@@ -120,6 +122,13 @@ while [ "$i" -lt 10 ]; do
     case "$code" in 200 | 202) ;; *) fail "routed append $i returned $code" ;; esac
 done
 
+echo "== query the appended epoch (its columnar projection is derived)"
+code=$(curl -s -o /dev/null -w '%{http_code}' \
+    -X POST "http://$ROUTER_ADDR/v1/interfaces/olap/query" \
+    -H "Authorization: Bearer $TOKEN" -H 'Content-Type: application/json' \
+    -d '{"widgets":[],"limit":1}')
+[ "$code" = 200 ] || fail "query after appends returned $code"
+
 echo "== wait for the follower to report stream position"
 i=0
 while :; do
@@ -143,6 +152,7 @@ assert_moved "$A_SCRAPE" 'pi_wal_syncs_total' "shard A"
 assert_moved "$A_SCRAPE" 'pi_wal_fsync_seconds_count' "shard A"
 assert_moved "$A_SCRAPE" 'pi_replica_seq{iface="olap"}' "shard A"
 assert_moved "$A_SCRAPE" 'pi_replica_seeds_total{iface="olap"}' "shard A"
+assert_moved "$A_SCRAPE" 'pi_columnar_builds_total{kind="derived"}' "shard A"
 
 echo "== scrape shard B (follower)"
 assert_moved "$B_SCRAPE" 'class="2xx"' "shard B"
