@@ -54,7 +54,7 @@ shard-smoke:
 replica-smoke:
 	sh scripts/replica_smoke.sh
 
-# End-to-end smoke of the write-ahead log: pi-serve -wal, acked
+# End-to-end smoke of the write-ahead log: pi-serve -data-dir, acked
 # appends that no snapshot ever covers, SIGKILL, restart, verify the
 # logged tail replayed them; then differential saves and a second
 # crash restoring through base + delta + tail.

@@ -10,7 +10,7 @@
 //	         [-seed 7] [-cache 256] [-ingest] [-batch 8] [-flush-every 2s]
 //	         [-tail id=path[,id=path...]] [-token T | -token-file F]
 //	         [-data-dir DIR] [-snapshot-every 30s]
-//	         [-wal] [-wal-sync 2ms] [-wal-segment-bytes N]
+//	         [-wal-sync 2ms] [-wal-segment-bytes N]
 //	         [-shard-addr http://HOST:PORT]
 //	pi-serve -check [-addr :8080] [-token T | -token-file F]
 //
@@ -44,19 +44,18 @@
 // pages pick the token up from their URL fragment: open
 // /v1/interfaces/olap/page#token=<token>.
 //
-// With -data-dir the server is durable: on boot it restores every
-// interface saved under the dir (same-or-later epoch, identical
-// dataset row counts, no access to the original logs needed) and only
-// mines workloads that have no snapshot; while running it persists on
-// POST /v1/snapshot, every -snapshot-every interval (when set), and on
-// graceful shutdown. Kill it with SIGKILL and restart it with the same
-// -data-dir: the dashboards come back. Adding -wal journals every
-// acked write (log batches, row appends, epoch bumps) to a per-
-// interface write-ahead log before the ack returns, so a SIGKILL
-// loses nothing that was acknowledged: restart merges the newest
-// snapshot plus its differential deltas and replays the logged tail.
-// -wal-sync widens fsyncs into a group-commit window; 0 syncs before
-// every ack. See README "Durability".
+// With -data-dir the server is durable: every acked write (log
+// batches, row appends, UPDATE/DELETE mutations, epoch bumps) is
+// journaled to a per-interface write-ahead log before the ack
+// returns, and snapshots are saved on POST /v1/snapshot, every
+// -snapshot-every interval (when set), and on graceful shutdown. On
+// boot it restores every interface saved under the dir — the newest
+// snapshot plus its differential deltas, then the logged tail
+// replayed on top — and only mines workloads that have no snapshot.
+// Kill it with SIGKILL and restart it with the same -data-dir: nothing
+// that was acknowledged is lost. -wal-sync widens fsyncs into a
+// group-commit window; 0 syncs before every ack. See README
+// "Durability".
 //
 // -check flips the binary into client mode: it probes a running
 // pi-serve at -addr through the pi/client SDK (health, list, a query
@@ -110,10 +109,9 @@ func main() {
 	batch := flag.Int("batch", 8, "ingested entries per incremental re-mine")
 	flushEvery := flag.Duration("flush-every", 2*time.Second, "background flush interval for partial batches")
 	tails := flag.String("tail", "", "comma-separated id=path log files (or globs like 'logs/*.log') to tail into hosted interfaces")
-	dataDir := flag.String("data-dir", "", "directory for durable snapshots (enables restore-on-boot and POST /v1/snapshot)")
+	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and durable snapshots (every acked write is journaled; enables restore-on-boot and POST /v1/snapshot)")
 	snapEvery := flag.Duration("snapshot-every", 0, "periodic background snapshot interval (0 = only on demand/shutdown; needs -data-dir)")
-	enableWAL := flag.Bool("wal", false, "write-ahead-log every acked publish before its ack returns (needs -data-dir); restart replays the tail so no acked write is lost")
-	walSync := flag.Duration("wal-sync", 0, "group-commit window for WAL fsyncs (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
+	walSync := flag.Duration("wal-sync", 0, "group-commit window for WAL fsyncs under -data-dir (0 = fsync before every ack; e.g. 2ms trades a bounded window for throughput)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 4MiB)")
 	token := flag.String("token", "", "bearer token required on query/log endpoints (empty = open)")
 	tokenFile := flag.String("token-file", "", "file holding the bearer token (overrides -token)")
@@ -150,20 +148,14 @@ func main() {
 	// consulted).
 	var svc *api.Service
 	var persister *ingest.Persister
-	var walMgr *wal.Manager
 	if *dataDir != "" {
 		if !*enableIngest {
 			fatal(fmt.Errorf("-data-dir needs -ingest (snapshots cover live-hosted interfaces)"))
 		}
-		popts := ingest.PersistOptions{Funcs: attachWorkloadFuncs}
-		if *enableWAL {
-			walMgr = wal.NewManager(*dataDir, wal.Options{
-				SegmentBytes: *walSegBytes,
-				SyncInterval: *walSync,
-			})
-			popts.WAL = walMgr
-		}
-		persister = ingest.NewPersister(*dataDir, ing, popts)
+		persister = ingest.NewPersister(*dataDir, ing, ingest.PersistOptions{
+			Funcs: attachWorkloadFuncs,
+			WAL:   wal.NewManager(*dataDir, wal.Options{SegmentBytes: *walSegBytes, SyncInterval: *walSync}),
+		})
 		var restored *api.RestoreResult
 		var rerr error
 		svc, restored, rerr = api.NewPersistentService(reg, persister)
@@ -179,9 +171,6 @@ func main() {
 	}
 	if *snapEvery > 0 && persister == nil {
 		fatal(fmt.Errorf("-snapshot-every needs -data-dir"))
-	}
-	if *enableWAL && *dataDir == "" {
-		fatal(fmt.Errorf("-wal needs -data-dir (the log lives alongside the snapshots it replays onto)"))
 	}
 
 	for _, name := range strings.Split(*workloads, ",") {
@@ -220,11 +209,11 @@ func main() {
 		fatal(fmt.Errorf("no workloads hosted"))
 	}
 
-	// In WAL mode every interface must have a base snapshot on disk
-	// before its first acked write is journaled: a log with no base to
-	// replay onto is unrecoverable, so freshly mined workloads are
-	// persisted once up front, before the listener opens.
-	if walMgr != nil {
+	// Every interface must have a base snapshot on disk before its
+	// first acked write is journaled: a log with no base to replay onto
+	// is unrecoverable, so freshly mined workloads are persisted once
+	// up front, before the listener opens.
+	if persister != nil {
 		if res, err := svc.Snapshot(); err != nil {
 			fatal(fmt.Errorf("initial snapshot: %w", err))
 		} else if len(res.Interfaces) > 0 {
@@ -336,17 +325,14 @@ func main() {
 		if err := hs.Shutdown(sctx); err != nil {
 			fatal(fmt.Errorf("shutdown: %w", err))
 		}
-		// A final snapshot so a graceful stop never loses ingested state
-		// (a SIGKILL loses only what arrived since the last snapshot).
+		// A final snapshot so the next boot replays no log tail.
 		if persister != nil {
 			if res, err := svc.Snapshot(); err != nil {
 				log.Printf("final snapshot: %v", err)
 			} else {
 				log.Printf("final snapshot: %d interface(s) persisted to %s", len(res.Interfaces), res.Dir)
 			}
-		}
-		if walMgr != nil {
-			if err := walMgr.Close(); err != nil {
+			if err := persister.Close(); err != nil {
 				log.Printf("wal close: %v", err)
 			}
 		}

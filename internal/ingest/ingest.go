@@ -28,6 +28,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/qlog"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // Options configure buffering and flushing.
@@ -440,7 +441,7 @@ func (ing *Ingester) flushLocked(f *feed) (int, error) {
 	// error (the owner was fenced off by a newer term) fails the
 	// submission so the client never holds an ack a promoted follower
 	// lacks.
-	if err := ing.firePublish(f, entries, nil, nil); err != nil {
+	if err := ing.firePublish(f, wal.Record{Entries: entries}); err != nil {
 		return st.ParseErrors, err
 	}
 	return st.ParseErrors, nil

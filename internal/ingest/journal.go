@@ -1,5 +1,7 @@
 package ingest
 
+import "repro/internal/wal"
+
 // Journal is the durability half of the publish contract, the way
 // PublishHook is the replication half: every epoch-bumping publish —
 // a re-mined log batch, a row append, a bare epoch bump — is offered
@@ -12,11 +14,11 @@ package ingest
 // it fans out) and on followers applying the owner's stream (so a
 // restarted follower replays to its applied position instead of
 // demanding a full re-seed). Implementations must be idempotent on
-// sequence numbers — restore-time replay drives the same Apply paths
-// that journal live traffic, and re-offering an already-logged
+// sequence numbers — restore-time replay drives the same Apply call
+// that journals live traffic, and re-offering an already-logged
 // sequence must be a no-op, not a duplicate record.
 type Journal interface {
-	Append(id string, p Publication) error
+	Append(id string, rec wal.Record) error
 }
 
 // SetJournal installs (or with nil, clears) the durability journal.
@@ -36,12 +38,12 @@ func (ing *Ingester) journalFor() Journal {
 // journalLocked offers one publication to the journal. Caller holds
 // f.mu and has already published the swap; an error fails the
 // triggering ack.
-func (ing *Ingester) journalLocked(f *feed, p Publication) error {
+func (ing *Ingester) journalLocked(f *feed, rec wal.Record) error {
 	j := ing.journalFor()
 	if j == nil {
 		return nil
 	}
-	if err := j.Append(f.hosted.ID, p); err != nil {
+	if err := j.Append(f.hosted.ID, rec); err != nil {
 		f.lastError = err.Error()
 		return err
 	}

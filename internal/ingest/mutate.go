@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/sqlparser"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // SubmitMutation evaluates one UPDATE or DELETE statement against the
@@ -98,7 +99,7 @@ func (ing *Ingester) SubmitMutation(id, sql string, ifEpoch uint64) (api.MutateA
 	ack.DataEpoch = f.store.Epoch()
 	ack.Updated = len(tm.Updates)
 	ack.Deleted = len(tm.Deletes)
-	if err := ing.firePublish(f, nil, nil, []store.TableMutation{tm}); err != nil {
+	if err := ing.firePublish(f, wal.Record{Muts: []store.TableMutation{tm}}); err != nil {
 		return ack, err
 	}
 	return ack, nil

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -24,11 +23,12 @@ type PersistOptions struct {
 	// snapshot file cannot carry (pi-serve re-binds the synthetic SDSS
 	// UDF to the restored Galaxy table here).
 	Funcs func(id string, st *store.Store)
-	// WAL, when set, switches the persister into write-ahead-log mode
-	// (walpersist.go): every acked publish is journaled before its ack,
-	// periodic saves write differential deltas instead of full
-	// rewrites, and restore replays the logged tail on top of the
-	// newest save — zero acked-then-lost across a SIGKILL.
+	// WAL is the write-ahead log every acked publish is journaled to
+	// before its ack returns (walpersist.go); restore replays the
+	// logged tail on top of the newest save — zero acked-then-lost
+	// across a SIGKILL. Nil opens a strict log over the data dir
+	// (every ack waits for its fsync); pass a manager to choose the
+	// group-commit window and the segment size.
 	WAL *wal.Manager
 	// CompactEvery bounds the delta chain: after this many differential
 	// saves the next save rewrites the full base snapshot and drops the
@@ -37,14 +37,15 @@ type PersistOptions struct {
 }
 
 // Persister is the durable snapshot/restore coordinator over an
-// ingester's feeds: SaveAll serializes every live-hosted interface's
-// (log, dataset, epoch) into the data dir through internal/store's
-// checksummed atomic writer, and Restore re-hosts whatever the dir
-// holds — the saved log re-mines to exactly the interface that was
-// serving, the dataset rows load instead of being regenerated, and
-// the interface resumes at its saved epoch, so a SIGKILLed server
-// comes back without the original log or workload generator.
-// Implements api.Persister.
+// ingester's feeds: it journals every acked publish to the WAL,
+// SaveAll writes every live-hosted interface's (log, dataset, epoch)
+// into the data dir as a base snapshot plus differential deltas
+// through internal/store's checksummed atomic writer, and Restore
+// re-hosts whatever the dir holds — the saved log re-mines to exactly
+// the interface that was serving, the dataset rows load instead of
+// being regenerated, and the logged tail replays on top, so a
+// SIGKILLed server comes back at its exact acked state without the
+// original log or workload generator. Implements api.Persister.
 type Persister struct {
 	dir  string
 	ing  *Ingester
@@ -52,12 +53,12 @@ type Persister struct {
 
 	// saveMu serializes every durable-state mutation: SaveAll (the
 	// periodic ticker, the HTTP snapshot endpoint and the shutdown
-	// snapshot can all fire concurrently), the WAL-mode manifest map,
-	// Adopt and replication-state persists.
+	// snapshot can all fire concurrently), the manifest map, Adopt and
+	// replication-state persists.
 	saveMu sync.Mutex
 
-	// manifests mirrors the on-disk manifest per interface in WAL mode
-	// (walpersist.go). Guarded by saveMu.
+	// manifests mirrors the on-disk manifest per interface. Guarded by
+	// saveMu.
 	manifests map[string]*store.Manifest
 
 	// replState, when set, reports an interface's live replication
@@ -66,10 +67,9 @@ type Persister struct {
 	replState func(id string) *store.ReplState
 }
 
-// NewPersister returns a persister writing snapshots under dir. With
-// PersistOptions.WAL set, the persister also installs itself as the
-// ingester's durability journal: every acked publish is logged before
-// the ack returns.
+// NewPersister returns a persister writing snapshots under dir and
+// installs it as the ingester's durability journal: every acked
+// publish is logged before the ack returns.
 func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
 	if opts.Live.Generate.Library == nil {
 		opts.Live = core.DefaultLiveOptions()
@@ -77,15 +77,20 @@ func NewPersister(dir string, ing *Ingester, opts PersistOptions) *Persister {
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = 64
 	}
-	p := &Persister{dir: dir, ing: ing, opts: opts, manifests: map[string]*store.Manifest{}}
-	if opts.WAL != nil {
-		ing.SetJournal(p)
+	if opts.WAL == nil {
+		opts.WAL = wal.NewManager(dir, wal.Options{})
 	}
+	p := &Persister{dir: dir, ing: ing, opts: opts, manifests: map[string]*store.Manifest{}}
+	ing.SetJournal(p)
 	return p
 }
 
 // Dir returns the data directory.
 func (p *Persister) Dir() string { return p.dir }
+
+// Close syncs and closes the write-ahead log; an ack journaled after
+// Close fails.
+func (p *Persister) Close() error { return p.opts.WAL.Close() }
 
 // SaveAll persists every live feed. Buffered log entries and rows are
 // flushed first, so the snapshot reflects everything acknowledged to
@@ -116,84 +121,50 @@ func (p *Persister) SaveAll() (*api.SnapshotResult, error) {
 	return res, nil
 }
 
-// saveOne captures one feed's state under its lock (Capture shares
-// only immutable data — a log copy and published table versions), then
-// writes the snapshot file with the lock released, so the disk write
-// never blocks ingestion or serving. In WAL mode the write is a
-// differential delta keyed off the previous save (walpersist.go).
-func (p *Persister) saveOne(id string) (api.SnapshotInterface, error) {
-	snap, err := p.ing.Capture(id)
-	if err != nil {
-		return api.SnapshotInterface{}, err
-	}
-	if p.opts.WAL != nil {
-		return p.saveWAL(snap)
-	}
-	bytes, err := store.Save(p.dir, snap)
-	if err != nil {
-		return api.SnapshotInterface{}, fmt.Errorf("ingest: save %q: %w", id, err)
-	}
-	return snapshotRow(snap, bytes), nil
-}
-
-// RemoveSnapshot deletes the interface's durable state — snapshot
-// file, and in WAL mode its manifest, delta chain and log directory —
-// so an unhosted interface does not resurrect on the next boot; files
-// that never existed are fine. Implements api.SnapshotRemover.
+// RemoveSnapshot deletes the interface's durable state — manifest,
+// base, delta chain and log directory — so an unhosted interface does
+// not resurrect on the next boot; files that never existed are fine.
+// Implements api.SnapshotRemover.
 func (p *Persister) RemoveSnapshot(id string) error {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()
-	if err := os.Remove(store.SnapFile(p.dir, id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
-	}
 	if err := store.RemoveManifest(p.dir, id); err != nil {
 		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
 	}
 	delete(p.manifests, id)
-	if p.opts.WAL != nil {
-		if err := p.opts.WAL.Remove(id); err != nil {
-			return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
-		}
+	if err := p.opts.WAL.Remove(id); err != nil {
+		return fmt.Errorf("ingest: remove snapshot %q: %w", id, err)
 	}
 	return nil
 }
 
-// Restore re-hosts every snapshot in the data dir onto the ingester's
-// registry. Returns what came back; a missing or empty dir restores
-// nothing (first boot). A snapshot that fails its checksum or decode
-// is an error — serving silently without an interface the operator
-// expects is worse than failing loudly. In WAL mode each interface's
-// restore merges its delta chain and replays the logged tail
-// (walpersist.go). Implements api.Persister.
+// Restore re-hosts every interface the data dir holds a manifest for:
+// base + delta chain, then the WAL tail replayed on top (walpersist.go).
+// Returns what came back; a missing or empty dir restores nothing
+// (first boot). A snapshot that fails its checksum or decode is an
+// error — serving silently without an interface the operator expects
+// is worse than failing loudly. Implements api.Persister.
 func (p *Persister) Restore() (*api.RestoreResult, error) {
-	if p.opts.WAL != nil {
-		return p.restoreWAL()
-	}
-	files, err := store.List(p.dir)
+	ids, orphans, err := p.scanDataDir()
 	if err != nil {
 		return nil, err
 	}
+	if len(orphans) > 0 {
+		// A WAL directory with no base to replay onto holds acked writes
+		// this process cannot reconstruct. Refuse to serve as if they
+		// never happened.
+		return nil, fmt.Errorf("ingest: restore: WAL logs %v have no snapshot or manifest to replay onto; "+
+			"the interfaces were acked writes this data dir cannot reconstruct", orphans)
+	}
 	res := &api.RestoreResult{Dir: p.dir, Interfaces: []api.SnapshotInterface{}}
-	for _, path := range files {
-		snap, err := store.Load(path)
+	for _, id := range ids {
+		snap, err := p.restoreOne(id)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.restoreOne(snap); err != nil {
 			return nil, err
 		}
 		res.Interfaces = append(res.Interfaces, snapshotRow(snap, 0))
 	}
 	return res, nil
-}
-
-// restoreOne rebuilds one interface: store from the saved tables,
-// miner from the saved log, hosted at the saved epoch.
-func (p *Persister) restoreOne(snap *store.Snapshot) error {
-	if _, err := p.ing.HostSnapshot(snap, p.opts.Live, p.opts.Funcs, snap.Epoch); err != nil {
-		return fmt.Errorf("ingest: restore %q: %w", snap.ID, err)
-	}
-	return nil
 }
 
 // snapshotRow summarizes a snapshot for results.

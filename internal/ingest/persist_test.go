@@ -174,7 +174,7 @@ func TestRestoreFailsLoudlyOnCorruption(t *testing.T) {
 	if _, err := NewPersister(dir, ing1, PersistOptions{}).SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	path := store.SnapFile(dir, "live")
+	path := baseFile(t, dir, "live")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestSaveAllFlushesBuffered(t *testing.T) {
 	if _, err := NewPersister(dir, ing, PersistOptions{}).SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := store.Load(store.SnapFile(dir, "live"))
+	snap, err := store.Load(baseFile(t, dir, "live"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,45 +4,27 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/qlog"
-	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // This file is the ingestion side of the replication contract
 // (internal/replica): the owner's ack path publishes every
-// epoch-bumping flush as a Publication through an optional hook, and
-// followers apply those publications — the exact batches, in the exact
-// order — through ApplyBatch/ApplyRows/ApplyBump. Because the hook
-// fires under the same per-feed lock every write path publishes under,
-// publications carry per-interface monotone sequence numbers for free,
-// and a hook error fails the submission's ack: a write is only ever
-// acknowledged after the replication layer has had its say
-// (replicate-before-ack).
+// epoch-bumping flush as a wal.Record through an optional hook, and
+// followers land those records — the exact batches, in the exact
+// order — through Apply, the same call restore uses to replay the
+// WAL tail. Because the hook fires under the same per-feed lock every
+// write path publishes under, records carry per-interface monotone
+// sequence numbers for free, and a hook error fails the submission's
+// ack: a write is only ever acknowledged after the replication layer
+// has had its say (replicate-before-ack).
 
-// TableRows is one table's slice of a row publication.
-type TableRows struct {
-	Table string
-	Rows  [][]engine.Value
-}
-
-// Publication is one epoch-bumping publish on the owner: a re-mined
-// log batch (Entries), a row append (Rows), a rowid-keyed mutation set
-// (Muts — the physical form of an UPDATE/DELETE, already evaluated
-// against the owner's snapshot), or a bare epoch bump (none of them —
-// promotion fencing). Seq is the per-interface monotone sequence
-// number of the publish; Epoch is the interface epoch after it. A
-// follower that applies the same publications in the same order to the
-// same seed is byte-identical to the owner (the miner is deterministic
-// and mutations carry resolved rowids, not predicates), so Seq+Epoch
-// double-check lockstep.
-type Publication struct {
-	Seq     uint64
-	Epoch   uint64
-	Entries []qlog.Entry
-	Rows    []TableRows
-	Muts    []store.TableMutation
-}
+// Publication is the one publication record (see wal.Record): the
+// WAL journals it, the replication stream carries it and restore
+// replays it. The alias keeps the ingestion-side name for callers
+// that spell it that way.
+type Publication = wal.Record
 
 // PublishHook observes every epoch-bumping publish of every owned
 // feed, synchronously, under the feed lock (keep it fast; serving
@@ -50,7 +32,7 @@ type Publication struct {
 // do). Returning an error fails the triggering submission's ack — the
 // replication layer uses that to refuse acks after it has been fenced
 // off by a newer owner.
-type PublishHook func(id string, p Publication) error
+type PublishHook func(id string, rec wal.Record) error
 
 // SetPublishHook installs (or with nil, clears) the publish hook.
 func (ing *Ingester) SetPublishHook(h PublishHook) {
@@ -66,27 +48,22 @@ func (ing *Ingester) publishHook() PublishHook {
 	return h
 }
 
-// firePublish bumps the feed's sequence number, journals the
-// publication and runs the replication hook — in that order, so a
-// write is durable locally before it fans out, and an ack implies
-// both. Caller holds f.mu and has already published the swap.
-func (ing *Ingester) firePublish(f *feed, entries []qlog.Entry, rows []TableRows, muts []store.TableMutation) error {
+// firePublish stamps the record with the feed's next sequence number
+// and current epoch, journals it and runs the replication hook — in
+// that order, so a write is durable locally before it fans out, and an
+// ack implies both. Caller holds f.mu and has already published the
+// swap.
+func (ing *Ingester) firePublish(f *feed, rec wal.Record) error {
 	f.seq++
-	p := Publication{
-		Seq:     f.seq,
-		Epoch:   f.hosted.Epoch(),
-		Entries: entries,
-		Rows:    rows,
-		Muts:    muts,
-	}
-	if err := ing.journalLocked(f, p); err != nil {
+	rec.Seq, rec.Epoch = f.seq, f.hosted.Epoch()
+	if err := ing.journalLocked(f, rec); err != nil {
 		return err
 	}
 	h := ing.publishHook()
 	if h == nil {
 		return nil
 	}
-	if err := h(f.hosted.ID, p); err != nil {
+	if err := h(f.hosted.ID, rec); err != nil {
 		f.lastError = err.Error()
 		return err
 	}
@@ -94,7 +71,7 @@ func (ing *Ingester) firePublish(f *feed, entries []qlog.Entry, rows []TableRows
 }
 
 // ErrReplicaDiverged reports a follower apply that cannot reproduce
-// the owner's publication (sequence gap, epoch drift, or a batch the
+// the owner's record (sequence gap, epoch drift, or a batch the
 // local miner rejects): the follower needs a fresh seed. Matched with
 // errors.Is.
 var ErrReplicaDiverged = errors.New("replica diverged from owner stream")
@@ -127,169 +104,98 @@ func (ing *Ingester) PublishBump(id string) (uint64, uint64, error) {
 	if _, err := f.hosted.Swap(f.hosted.Iface(), nil); err != nil {
 		return 0, 0, fmt.Errorf("ingest: bump %q: %w", id, err)
 	}
-	if err := ing.firePublish(f, nil, nil, nil); err != nil {
+	if err := ing.firePublish(f, wal.Record{}); err != nil {
 		return f.hosted.Epoch(), f.seq, err
 	}
 	return f.hosted.Epoch(), f.seq, nil
 }
 
-// applyCheck validates the publication slot before any state changes.
-// Caller holds f.mu.
-func (f *feed) applyCheck(id string, wantSeq uint64) error {
+// Apply lands one published record on a follower feed, whether it
+// arrives on the replication stream or from the WAL tail at restore:
+// the record must sit at exactly the next sequence number, its
+// payload — a log batch to re-mine, table rows to append, rowid-keyed
+// mutations, or nothing for a bare epoch bump — applies to the feed,
+// one swap publishes it, and the resulting epoch must match the
+// owner's. Apply bypasses the submission buffer and the publish hook
+// (replication is one hop deep, never chained), but journals the
+// applied record, so a restarted follower replays to this position
+// instead of demanding a full re-seed; a journal failure refuses the
+// apply, and replay-time re-offers are sequence-idempotent no-ops.
+func (ing *Ingester) Apply(id string, rec wal.Record) error {
+	f, err := ing.feed(id)
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.sealed {
 		return fmt.Errorf("ingest: interface %q %w", id, ErrNoFeed)
 	}
-	if wantSeq != f.seq+1 {
+	if rec.Seq != f.seq+1 {
 		return fmt.Errorf("ingest: %q apply seq %d does not follow local seq %d: %w",
-			id, wantSeq, f.seq, ErrReplicaDiverged)
+			id, rec.Seq, f.seq, ErrReplicaDiverged)
 	}
-	return nil
-}
-
-// applySettle records the applied slot and verifies epoch lockstep.
-// Caller holds f.mu and has published the swap.
-func (f *feed) applySettle(id string, wantEpoch, wantSeq uint64) error {
-	f.seq = wantSeq
-	if cur := f.hosted.Epoch(); wantEpoch != 0 && cur != wantEpoch {
+	iface, data, err := f.applyPayload(rec)
+	if err == nil {
+		_, err = f.hosted.Swap(iface, data)
+	}
+	if err != nil {
+		f.lastError = err.Error()
+		return fmt.Errorf("ingest: %q apply seq %d: %v: %w", id, rec.Seq, err, ErrReplicaDiverged)
+	}
+	f.seq = rec.Seq
+	if cur := f.hosted.Epoch(); rec.Epoch != 0 && cur != rec.Epoch {
 		return fmt.Errorf("ingest: %q at epoch %d after apply, owner at %d: %w",
-			id, cur, wantEpoch, ErrReplicaDiverged)
+			id, cur, rec.Epoch, ErrReplicaDiverged)
 	}
-	return nil
+	rec.Epoch = f.hosted.Epoch()
+	return ing.journalLocked(f, rec)
 }
 
-// ApplyBatch applies one replicated log publication to a follower
-// feed: the exact entry batch the owner flushed, expected to land at
-// exactly (wantEpoch, wantSeq). It bypasses the submission buffer and
-// the publish hook — replication is one hop deep, never chained.
-func (ing *Ingester) ApplyBatch(id string, entries []qlog.Entry, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	iface, st, err := f.miner.Append(entries)
-	f.accepted += uint64(len(entries))
-	f.dropped += uint64(st.ParseErrors)
-	if err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply re-mine: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if st.FullRemine {
-		f.fullRemines++
-	}
-	if st.Added == 0 {
-		// The owner bumped its epoch for this batch; a deterministic
-		// re-mine that adds nothing here means the replica drifted.
-		return fmt.Errorf("ingest: %q apply mined no entries the owner published: %w",
-			id, ErrReplicaDiverged)
-	}
-	f.flushes++
-	if _, err := f.hosted.Swap(iface, nil); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply swap: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	// Journal the applied publication so a restarted follower replays
-	// to this position instead of demanding a full re-seed. A journal
-	// failure refuses the apply (the owner re-sends or re-seeds);
-	// replay-time re-applies are sequence-idempotent no-ops.
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch(), Entries: entries})
-}
-
-// ApplyRows applies one replicated row publication to a follower
-// feed: every table's batch from one owner flush, published under a
-// single epoch bump exactly like the owner's flushRowsLocked.
-func (ing *Ingester) ApplyRows(id string, rows []TableRows, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	appended := 0
-	for _, tr := range rows {
-		if _, err := f.store.AppendRows(tr.Table, tr.Rows); err != nil {
-			f.lastError = err.Error()
-			return fmt.Errorf("ingest: %q apply rows to %q: %v: %w",
-				id, tr.Table, err, ErrReplicaDiverged)
+// applyPayload applies a record's payload to the feed's miner and
+// store and returns what the swap publishes: the (re-)mined interface
+// and, when rows or mutations landed, the new store snapshot (a nil
+// catalog keeps the serving data). Caller holds f.mu.
+func (f *feed) applyPayload(rec wal.Record) (*core.Interface, engine.Catalog, error) {
+	iface := f.hosted.Iface()
+	if len(rec.Entries) > 0 {
+		mined, st, err := f.miner.Append(rec.Entries)
+		f.accepted += uint64(len(rec.Entries))
+		f.dropped += uint64(st.ParseErrors)
+		if err != nil {
+			return nil, nil, fmt.Errorf("re-mine: %v", err)
 		}
-		appended += len(tr.Rows)
+		if st.FullRemine {
+			f.fullRemines++
+		}
+		if st.Added == 0 {
+			// The owner bumped its epoch for this batch; a deterministic
+			// re-mine that adds nothing here means the replica drifted.
+			return nil, nil, fmt.Errorf("mined no entries the owner published")
+		}
+		f.flushes++
+		iface = mined
 	}
-	f.rowsAppended += uint64(appended)
-	f.rowFlushes++
-	if _, err := f.hosted.Swap(f.hosted.Iface(), f.store.Snapshot()); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply swap: %v: %w", id, err, ErrReplicaDiverged)
+	for _, tr := range rec.Rows {
+		if _, err := f.store.AppendRows(tr.Table, tr.Rows); err != nil {
+			return nil, nil, fmt.Errorf("rows to %q: %v", tr.Table, err)
+		}
+		f.rowsAppended += uint64(len(tr.Rows))
 	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch(), Rows: rows})
-}
-
-// ApplyMutations applies one replicated mutation publication to a
-// follower feed: the rowid-keyed updates and deletes the owner's DML
-// evaluation produced, published under a single epoch bump exactly
-// like the owner's mutation publish. Replication is physical — no
-// predicate re-evaluation, so the follower lands on byte-identical
-// rows even if its apply runs arbitrarily later. The WAL restore path
-// replays through this same method.
-func (ing *Ingester) ApplyMutations(id string, muts []store.TableMutation, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	for _, tm := range muts {
+	for _, tm := range rec.Muts {
 		if _, err := f.store.MutateRows(tm.Table, tm.Updates, tm.Deletes); err != nil {
-			f.lastError = err.Error()
-			return fmt.Errorf("ingest: %q apply mutations to %q: %v: %w",
-				id, tm.Table, err, ErrReplicaDiverged)
+			return nil, nil, fmt.Errorf("mutations to %q: %v", tm.Table, err)
 		}
 		f.rowsMutated += uint64(len(tm.Updates) + len(tm.Deletes))
 	}
-	f.mutations++
-	if _, err := f.hosted.Swap(f.hosted.Iface(), f.store.Snapshot()); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply swap: %v: %w", id, err, ErrReplicaDiverged)
+	if len(rec.Rows) == 0 && len(rec.Muts) == 0 {
+		return iface, nil, nil
 	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
+	if len(rec.Rows) > 0 {
+		f.rowFlushes++
 	}
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch(), Muts: muts})
-}
-
-// ApplyBump applies a bare epoch bump (the promotion fence) to a
-// follower feed.
-func (ing *Ingester) ApplyBump(id string, wantEpoch, wantSeq uint64) error {
-	f, err := ing.feed(id)
-	if err != nil {
-		return err
+	if len(rec.Muts) > 0 {
+		f.mutations++
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.applyCheck(id, wantSeq); err != nil {
-		return err
-	}
-	if _, err := f.hosted.Swap(f.hosted.Iface(), nil); err != nil {
-		f.lastError = err.Error()
-		return fmt.Errorf("ingest: %q apply bump: %v: %w", id, err, ErrReplicaDiverged)
-	}
-	if err := f.applySettle(id, wantEpoch, wantSeq); err != nil {
-		return err
-	}
-	return ing.journalLocked(f, Publication{Seq: wantSeq, Epoch: f.hosted.Epoch()})
+	return iface, f.store.Snapshot(), nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/engine"
+	"repro/internal/wal"
 )
 
 // SubmitRows buffers new dataset rows for one table of the
@@ -108,7 +109,7 @@ func (ing *Ingester) flushRowsLocked(f *feed) error {
 		return nil
 	}
 	appended := 0
-	var published []TableRows
+	var published []wal.TableRows
 	var failErr error
 	for table, rows := range f.rowBuf {
 		if len(rows) == 0 {
@@ -120,7 +121,7 @@ func (ing *Ingester) flushRowsLocked(f *feed) error {
 			failErr = fmt.Errorf("ingest: append %d rows to %q: %w", len(rows), table, err)
 			break
 		}
-		published = append(published, TableRows{Table: table, Rows: rows})
+		published = append(published, wal.TableRows{Table: table, Rows: rows})
 		appended += len(rows)
 		f.rowBuffered -= len(rows)
 		delete(f.rowBuf, table)
@@ -135,7 +136,7 @@ func (ing *Ingester) flushRowsLocked(f *feed) error {
 		// Replicate the published batches before the ack propagates
 		// (see flushLocked); one publication covers every table flushed
 		// under this swap.
-		if err := ing.firePublish(f, nil, published, nil); err != nil {
+		if err := ing.firePublish(f, wal.Record{Rows: published}); err != nil {
 			if failErr == nil {
 				failErr = err
 			}

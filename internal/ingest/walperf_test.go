@@ -32,23 +32,23 @@ func bigDB(t testing.TB, rows int) *engine.DB {
 	return db
 }
 
+// hostPerf hosts the perf fixture; with walOpts set it also attaches a
+// persister journaling into that WAL, with nil the ingester runs with
+// no persister at all — the WAL-off baseline.
 func hostPerf(t testing.TB, walOpts *wal.Options) (*Ingester, *Persister, func()) {
 	t.Helper()
-	dir := t.TempDir()
 	reg := api.NewRegistry()
 	ing := New(reg, Options{BatchSize: 2, RowBatchSize: 1})
 	if _, err := ing.Host("live", "perf", fixtureLog(4), bigDB(t, 20000), core.DefaultLiveOptions()); err != nil {
 		t.Fatal(err)
 	}
-	popts := PersistOptions{}
-	cleanup := func() {}
-	if walOpts != nil {
-		m := wal.NewManager(dir, *walOpts)
-		popts.WAL = m
-		cleanup = func() { m.Close() }
+	if walOpts == nil {
+		return ing, nil, func() {}
 	}
-	p := NewPersister(dir, ing, popts)
-	return ing, p, cleanup
+	dir := t.TempDir()
+	m := wal.NewManager(dir, *walOpts)
+	p := NewPersister(dir, ing, PersistOptions{WAL: m})
+	return ing, p, func() { m.Close() }
 }
 
 // TestDifferentialSnapshotCheaper pins the tentpole's save economics:
@@ -199,7 +199,7 @@ func BenchmarkSnapshotFull(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.Save(dir, snap); err != nil {
+		if _, err := store.Save(dir, "live.snap", snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,23 +13,25 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is the persister's write-ahead-log mode. The durability
+// This file is the persister's write-ahead-log half. The durability
 // contract it implements:
 //
-//   - Every acked publish (log batch, row append, epoch bump) is in
-//     the WAL before the ack returns — the persister is the
-//     ingester's Journal, and the journal fires under the feed lock
-//     before the submission's ack on owners and before the apply ack
-//     on followers.
+//   - Every acked publish (log batch, row append, mutation, epoch
+//     bump) is in the WAL before the ack returns — the persister is
+//     the ingester's Journal, and the journal fires under the feed
+//     lock before the submission's ack on owners and before the apply
+//     ack on followers.
 //   - A periodic save costs O(rows since the last save): it cuts a
 //     delta off the copy-on-write version chain (store.CutDelta),
 //     links it into the manifest, and truncates the WAL segments the
 //     save made redundant. Every CompactEvery saves, a full base
-//     rewrite drops the chain.
+//     rewrite drops the chain. A base is written under a fresh name
+//     and only the manifest's atomic rename commits it, so a crash
+//     inside a save leaves the previous chain intact.
 //   - Restore = newest base + delta chain + WAL tail replayed through
-//     the same Apply paths followers use. The acked state comes back
-//     exactly; a torn final record (crash mid-append) was never acked
-//     and is truncated, not applied.
+//     Ingester.Apply, the call followers use. The acked state comes
+//     back exactly; a torn final record (crash mid-append) was never
+//     acked and is truncated, not applied.
 //   - Replication control state (role, term, owner, follower
 //     positions) rides in the manifest, so a restarted shard answers
 //     ownership questions from the term it actually held.
@@ -37,22 +39,14 @@ import (
 // Append implements Journal: one acked publication into the WAL,
 // synchronously, before the ack returns. Sequence numbers the log
 // already holds are no-ops, which is what makes restore-time replay
-// (driving the same Apply paths that journal live traffic) safe.
-func (p *Persister) Append(id string, pub Publication) error {
-	rec := wal.Record{Seq: pub.Seq, Epoch: pub.Epoch, Entries: pub.Entries, Muts: pub.Muts}
-	for _, tr := range pub.Rows {
-		rec.Rows = append(rec.Rows, wal.TableRows{Table: tr.Table, Rows: tr.Rows})
-	}
+// (driving the same Apply call that journals live traffic) safe.
+func (p *Persister) Append(id string, rec wal.Record) error {
 	if err := p.opts.WAL.Append(id, rec); err != nil {
 		return api.Errf(api.CodeWALFailed, http.StatusInternalServerError,
-			"wal append %q seq %d: %v", id, pub.Seq, err)
+			"wal append %q seq %d: %v", id, rec.Seq, err)
 	}
 	return nil
 }
-
-// WALEnabled reports whether the persister runs in write-ahead-log
-// mode — callers wire the durable replication callbacks only then.
-func (p *Persister) WALEnabled() bool { return p.opts.WAL != nil }
 
 // SetReplStateSource wires the replication manager's live state into
 // saves, so manifests carry current roles, terms and follower
@@ -80,9 +74,6 @@ func (p *Persister) ReplStates() map[string]*store.ReplState {
 
 // WALStatus implements api.WALStatuser for /healthz rows.
 func (p *Persister) WALStatus(id string) (*api.WALInfo, bool) {
-	if p.opts.WAL == nil {
-		return nil, false
-	}
 	st, ok := p.opts.WAL.Status(id)
 	if !ok {
 		return nil, false
@@ -113,11 +104,18 @@ func (p *Persister) replStateLocked(id string) *store.ReplState {
 	return p.replState(id)
 }
 
-// saveWAL is saveOne's WAL-mode body: a differential delta when the
-// manifest chain allows it, a full base rewrite when it does not (no
-// manifest yet, chain at the compaction bound, or a chain the capture
-// no longer continues). Caller holds saveMu (via SaveAll).
-func (p *Persister) saveWAL(snap *store.Snapshot) (api.SnapshotInterface, error) {
+// saveOne captures one feed's state under its lock (Capture shares
+// only immutable data — a log copy and published table versions), then
+// writes it with the lock released, so the disk write never blocks
+// ingestion or serving: a differential delta when the manifest chain
+// allows it, a full base rewrite when it does not (no manifest yet,
+// chain at the compaction bound, or a chain the capture no longer
+// continues). Caller holds saveMu (via SaveAll).
+func (p *Persister) saveOne(id string) (api.SnapshotInterface, error) {
+	snap, err := p.ing.Capture(id)
+	if err != nil {
+		return api.SnapshotInterface{}, err
+	}
 	m := p.manifests[snap.ID]
 	rs := p.replStateLocked(snap.ID)
 
@@ -161,18 +159,25 @@ func (p *Persister) saveWAL(snap *store.Snapshot) (api.SnapshotInterface, error)
 	return p.saveFull(snap, rs)
 }
 
-// saveFull writes a full base snapshot and a fresh single-node
-// manifest, superseding any delta chain. Caller holds saveMu.
+// saveFull writes a full base snapshot under a fresh name and commits
+// it with a fresh manifest, then removes the superseded base and delta
+// chain. A crash before the manifest rename leaves the previous chain
+// committed and the new base unreferenced. Caller holds saveMu.
 func (p *Persister) saveFull(snap *store.Snapshot, rs *store.ReplState) (api.SnapshotInterface, error) {
-	bytes, err := store.Save(p.dir, snap)
+	old := p.manifests[snap.ID]
+	prev := ""
+	if old != nil {
+		prev = old.Base
+	}
+	base := store.BaseName(snap.ID, snap.Seq, prev)
+	bytes, err := store.Save(p.dir, base, snap)
 	if err != nil {
 		return api.SnapshotInterface{}, fmt.Errorf("ingest: save %q: %w", snap.ID, err)
 	}
-	old := p.manifests[snap.ID]
 	logLen, tableRows, tableMuts := store.CoveredCounts(snap)
 	m := &store.Manifest{
 		ID:          snap.ID,
-		Base:        snap.ID + ".snap",
+		Base:        base,
 		Seq:         snap.Seq,
 		Epoch:       snap.Epoch,
 		DataEpoch:   snap.DataEpoch,
@@ -189,7 +194,7 @@ func (p *Persister) saveFull(snap *store.Snapshot, rs *store.ReplState) (api.Sna
 	}
 	p.manifests[snap.ID] = m
 	if old != nil {
-		for _, name := range old.Deltas {
+		for _, name := range append(old.Deltas, old.Base) {
 			_ = os.Remove(filepath.Join(p.dir, name))
 		}
 	}
@@ -227,13 +232,6 @@ func replStateEqual(a, b *store.ReplState) bool {
 func (p *Persister) Adopt(snap *store.Snapshot, rs *store.ReplState) error {
 	p.saveMu.Lock()
 	defer p.saveMu.Unlock()
-	if p.opts.WAL == nil {
-		// Legacy mode: the durable unit is the .snap file alone.
-		if _, err := store.Save(p.dir, snap); err != nil {
-			return fmt.Errorf("ingest: adopt %q: %w", snap.ID, err)
-		}
-		return nil
-	}
 	if _, err := p.saveFull(snap, rs); err != nil {
 		return fmt.Errorf("ingest: adopt %q: %w", snap.ID, err)
 	}
@@ -274,21 +272,14 @@ func (p *Persister) PersistReplState(id string) error {
 // means the log does not cover the range (truncated past it, too far
 // behind to be worth shipping record by record, or unreadable) and
 // the caller should fall back to a seed.
-func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
-	if p.opts.WAL == nil {
-		return nil, false
-	}
+func (p *Persister) CatchUp(id string, fromSeq uint64) ([]wal.Record, bool) {
 	const maxCatchUp = 4096
-	var pubs []Publication
+	var pubs []wal.Record
 	err := p.opts.WAL.Replay(id, fromSeq, func(rec wal.Record) error {
 		if len(pubs) >= maxCatchUp {
 			return fmt.Errorf("wal: catch-up range exceeds %d records", maxCatchUp)
 		}
-		pub := Publication{Seq: rec.Seq, Epoch: rec.Epoch, Entries: rec.Entries, Muts: rec.Muts}
-		for _, tr := range rec.Rows {
-			pub.Rows = append(pub.Rows, TableRows{Table: tr.Table, Rows: tr.Rows})
-		}
-		pubs = append(pubs, pub)
+		pubs = append(pubs, rec)
 		return nil
 	})
 	if err != nil {
@@ -302,69 +293,23 @@ func (p *Persister) CatchUp(id string, fromSeq uint64) ([]Publication, bool) {
 	return pubs, true
 }
 
-// restoreWAL rebuilds every interface the data dir holds: manifest
-// chain (base + deltas) when present, legacy bare .snap otherwise,
-// then the WAL tail replayed on top through the same Apply paths
-// followers use. Caller does not hold saveMu (runs once at boot,
-// before the server serves).
-func (p *Persister) restoreWAL() (*api.RestoreResult, error) {
-	ids, orphans, err := p.scanDataDir()
-	if err != nil {
-		return nil, err
-	}
-	if len(orphans) > 0 {
-		// A WAL directory with no base to replay onto holds acked writes
-		// this process cannot reconstruct. Refuse to serve as if they
-		// never happened.
-		return nil, fmt.Errorf("ingest: restore: WAL logs %v have no snapshot or manifest to replay onto; "+
-			"the interfaces were acked writes this data dir cannot reconstruct", orphans)
-	}
-	res := &api.RestoreResult{Dir: p.dir, Interfaces: []api.SnapshotInterface{}}
-	for _, id := range ids {
-		snap, err := p.restoreOneWAL(id)
-		if err != nil {
-			return nil, err
-		}
-		res.Interfaces = append(res.Interfaces, snapshotRow(snap, 0))
-	}
-	return res, nil
-}
-
-// restoreOneWAL rebuilds one interface to its exact acked state.
-func (p *Persister) restoreOneWAL(id string) (*store.Snapshot, error) {
+// restoreOne rebuilds one interface to its exact acked state: the
+// manifest's base + delta chain, hosted at its saved epoch, then every
+// logged publication past the save replayed through Ingester.Apply —
+// the call followers use (the registry bumps the epoch by exactly one
+// per swap, so the logged epochs verify lockstep). The journal
+// re-offer inside each apply is a sequence-idempotent no-op.
+func (p *Persister) restoreOne(id string) (*store.Snapshot, error) {
 	m, err := store.LoadManifest(p.dir, id)
+	if err == nil && m == nil {
+		err = fmt.Errorf("ingest: restore %q: manifest vanished during restore", id)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var snap *store.Snapshot
-	if m != nil {
-		snap, err = store.RestoreChain(p.dir, m)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Legacy bare .snap (written before WAL mode, or a crash between
-		// a first save's base write and its manifest write). Host it and
-		// promote it to a manifest so the WAL tail is anchored from here
-		// on.
-		snap, err = store.Load(store.SnapFile(p.dir, id))
-		if err != nil {
-			return nil, err
-		}
-		logLen, tableRows, tableMuts := store.CoveredCounts(snap)
-		m = &store.Manifest{
-			ID:        id,
-			Base:      id + ".snap",
-			Seq:       snap.Seq,
-			Epoch:     snap.Epoch,
-			DataEpoch: snap.DataEpoch,
-			LogLen:    logLen,
-			TableRows: tableRows,
-			TableMuts: tableMuts,
-		}
-		if err := store.SaveManifest(p.dir, m); err != nil {
-			return nil, err
-		}
+	snap, err := store.RestoreChain(p.dir, m)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := p.ing.HostSnapshot(snap, p.opts.Live, p.opts.Funcs, snap.Epoch); err != nil {
 		return nil, fmt.Errorf("ingest: restore %q: %w", id, err)
@@ -373,27 +318,7 @@ func (p *Persister) restoreOneWAL(id string) (*store.Snapshot, error) {
 	p.manifests[id] = m
 	p.saveMu.Unlock()
 
-	// Replay the acked tail: every logged publication past the save,
-	// through the same deterministic Apply paths followers use (the
-	// registry bumps the epoch by exactly one per swap, so the logged
-	// epochs verify lockstep). The journal re-offer inside each apply
-	// is a sequence-idempotent no-op.
-	err = p.opts.WAL.Replay(id, m.Seq, func(rec wal.Record) error {
-		switch {
-		case len(rec.Entries) > 0:
-			return p.ing.ApplyBatch(id, rec.Entries, rec.Epoch, rec.Seq)
-		case len(rec.Rows) > 0:
-			rows := make([]TableRows, 0, len(rec.Rows))
-			for _, tr := range rec.Rows {
-				rows = append(rows, TableRows{Table: tr.Table, Rows: tr.Rows})
-			}
-			return p.ing.ApplyRows(id, rows, rec.Epoch, rec.Seq)
-		case len(rec.Muts) > 0:
-			return p.ing.ApplyMutations(id, rec.Muts, rec.Epoch, rec.Seq)
-		default:
-			return p.ing.ApplyBump(id, rec.Epoch, rec.Seq)
-		}
-	})
+	err = p.opts.WAL.Replay(id, m.Seq, func(rec wal.Record) error { return p.ing.Apply(id, rec) })
 	if err != nil {
 		return nil, fmt.Errorf("ingest: restore %q: replay WAL tail: %w", id, err)
 	}
@@ -407,8 +332,9 @@ func (p *Persister) restoreOneWAL(id string) (*store.Snapshot, error) {
 	return snap, nil
 }
 
-// scanDataDir enumerates restorable interfaces (manifest or legacy
-// .snap) and orphaned WAL directories (log but no base).
+// scanDataDir enumerates restorable interfaces (those with a manifest
+// — a base no manifest names was never committed) and orphaned WAL
+// directories (log but no manifest).
 func (p *Persister) scanDataDir() (ids []string, orphans []string, err error) {
 	entries, err := os.ReadDir(p.dir)
 	if os.IsNotExist(err) {
@@ -427,8 +353,6 @@ func (p *Persister) scanDataDir() (ids []string, orphans []string, err error) {
 		case e.IsDir():
 		case strings.HasSuffix(name, ".manifest.json"):
 			have[strings.TrimSuffix(name, ".manifest.json")] = true
-		case strings.HasSuffix(name, ".snap"):
-			have[strings.TrimSuffix(name, ".snap")] = true
 		}
 	}
 	for id := range have {

@@ -29,6 +29,17 @@ func newWALPersister(t *testing.T, dir string, opts PersistOptions) (*api.Regist
 	return reg, ing, p, m
 }
 
+// baseFile returns the path of the base snapshot the interface's
+// manifest commits.
+func baseFile(t *testing.T, dir, id string) string {
+	t.Helper()
+	m, err := store.LoadManifest(dir, id)
+	if err != nil || m == nil {
+		t.Fatalf("manifest of %q: %v, %v", id, m, err)
+	}
+	return filepath.Join(dir, m.Base)
+}
+
 // TestWALKillRestoreRoundTrip is the tentpole contract end to end,
 // minus the real SIGKILL (cmd/pi-serve's crash test covers the
 // process): base snapshot, then acked writes that are NEVER saved —
@@ -120,7 +131,8 @@ func TestWALDifferentialSave(t *testing.T) {
 	if _, err := p.SaveAll(); err != nil {
 		t.Fatal(err)
 	}
-	baseInfo, err := os.Stat(store.SnapFile(dir, "live"))
+	base := baseFile(t, dir, "live")
+	baseInfo, err := os.Stat(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +155,7 @@ func TestWALDifferentialSave(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, man.Deltas[0])); err != nil {
 		t.Fatalf("delta file missing: %v", err)
 	}
-	after, err := os.Stat(store.SnapFile(dir, "live"))
+	after, err := os.Stat(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,44 +395,6 @@ func TestWALOrphanLogFailsRestore(t *testing.T) {
 	}
 }
 
-// TestWALLegacySnapPromoted: a bare .snap written before WAL mode (or
-// by a crash between base write and manifest write) still restores,
-// gains a manifest, and anchors the replayed tail.
-func TestWALLegacySnapPromoted(t *testing.T) {
-	dir := t.TempDir()
-	reg1 := api.NewRegistry()
-	ing1 := New(reg1, Options{})
-	if _, err := ing1.Host("live", "legacy", fixtureLog(4), fixtureDB(t), core.DefaultLiveOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPersister(dir, ing1, PersistOptions{}).SaveAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2 := api.NewRegistry()
-	ing2 := New(reg2, Options{})
-	m := wal.NewManager(dir, wal.Options{})
-	defer m.Close()
-	p := NewPersister(dir, ing2, PersistOptions{WAL: m})
-	if _, err := p.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := store.LoadManifest(dir, "live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man == nil {
-		t.Fatal("legacy snapshot was not promoted to a manifest")
-	}
-	// And the promoted interface journals from here on.
-	if _, err := ing2.SubmitRows("live", "t", [][]engine.Value{numRow(950, 45)}, true); err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := m.Status("live"); !ok || st.LastSeq == 0 {
-		t.Fatalf("promoted interface not journaling: %+v", st)
-	}
-}
-
 // TestWALRemoveSnapshotDropsLog: unhosting removes the manifest, the
 // delta chain and the log directory, so the interface cannot
 // resurrect — and cannot trip the orphan check.
@@ -442,5 +416,66 @@ func TestWALRemoveSnapshotDropsLog(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Fatalf("durable state survived removal: %s", e.Name())
+	}
+}
+
+// TestWALCrashInsideFullSaveKeepsOldChain: a crash inside a full save
+// — after its base is written, before the manifest commits it — must
+// leave the previous base + delta chain restorable, with the WAL tail
+// replayed on top. The crash is simulated by making the manifest's
+// atomic rename fail (a directory squats on its name), then putting
+// the committed manifest back as the crash would have left it.
+func TestWALCrashInsideFullSaveKeepsOldChain(t *testing.T) {
+	dir := t.TempDir()
+	_, ing, p, _ := newWALPersister(t, dir, PersistOptions{CompactEvery: 1})
+	if _, err := p.SaveAll(); err != nil { // full base
+		t.Fatal(err)
+	}
+	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(901, 41)}, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.SaveAll(); err != nil { // base + one delta
+		t.Fatal(err)
+	}
+	if _, err := ing.SubmitRows("live", "t", [][]engine.Value{numRow(902, 42)}, true); err != nil {
+		t.Fatal(err)
+	}
+	wantSeq, _ := ing.Seq("live")
+
+	// The next save compacts (the chain is at CompactEvery) and dies
+	// between the base write and the manifest rename.
+	manifest := store.ManifestFile(dir, "live")
+	committed, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(manifest, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.SaveAll(); err == nil {
+		t.Fatal("full save committed over a blocked manifest")
+	}
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ing2 := New(api.NewRegistry(), Options{})
+	m2 := wal.NewManager(dir, wal.Options{})
+	defer m2.Close()
+	if _, err := NewPersister(dir, ing2, PersistOptions{WAL: m2}).Restore(); err != nil {
+		t.Fatalf("restore after a crash inside a full save: %v", err)
+	}
+	if seq, _ := ing2.Seq("live"); seq != wantSeq {
+		t.Fatalf("restored seq %d, want %d", seq, wantSeq)
+	}
+	st, _ := ing2.Store("live")
+	if n, _ := st.RowCount("t"); n != 52 {
+		t.Fatalf("restored %d rows, want 52", n)
 	}
 }

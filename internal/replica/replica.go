@@ -44,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // Config wires a Manager to its node.
@@ -88,7 +89,7 @@ type Config struct {
 	// sequence in (fromSeq, head] — the WAL tail a trailing follower
 	// needs. ok=false means the log does not cover the range and only
 	// a full seed helps.
-	CatchUp func(id string, fromSeq uint64) ([]ingest.Publication, bool)
+	CatchUp func(id string, fromSeq uint64) ([]wal.Record, bool)
 	// HTTPClient carries replication traffic. Defaults to a 2-minute
 	// budget (seeds move whole interfaces).
 	HTTPClient *http.Client
@@ -174,7 +175,7 @@ func NewManager(cfg Config) (*Manager, error) {
 // Hook returns the ingest.PublishHook to install on the node's
 // ingester: the owner half of the data plane.
 func (m *Manager) Hook() ingest.PublishHook {
-	return func(id string, p ingest.Publication) error { return m.publish(id, p) }
+	return func(id string, rec wal.Record) error { return m.publish(id, rec) }
 }
 
 func (m *Manager) lookup(id string) *ifaceState {
@@ -263,7 +264,7 @@ func (m *Manager) client(addr string) *Client {
 // publish streams one owner publication to every follower. Called by
 // the ingestion hook under the feed lock: per-interface ordering is
 // inherited, and an error fails the triggering ack.
-func (m *Manager) publish(id string, p ingest.Publication) error {
+func (m *Manager) publish(id string, rec wal.Record) error {
 	s := m.lookup(id)
 	if s == nil {
 		return nil // unreplicated interface
@@ -277,8 +278,8 @@ func (m *Manager) publish(id string, p ingest.Publication) error {
 		s.mu.Unlock()
 		return api.ErrNotOwner(id, owner)
 	}
-	s.pubSeq = p.Seq
-	ev := Event{ID: id, Term: s.term, Owner: m.cfg.Self, Pub: p}
+	s.pubSeq = rec.Seq
+	ev := Event{ID: id, Term: s.term, Owner: m.cfg.Self, Pub: rec}
 	var fenced *api.Error
 	for _, fo := range s.followers {
 		switch fo.mode {
@@ -676,26 +677,15 @@ func (m *Manager) Apply(ev Event) error {
 
 	// The ingest apply takes the feed lock; state.mu must not be held
 	// across it (the publish hook takes the locks in the other order).
-	p := ev.Pub
-	var err error
-	switch {
-	case len(p.Entries) > 0:
-		err = m.cfg.Ing.ApplyBatch(ev.ID, p.Entries, p.Epoch, p.Seq)
-	case len(p.Rows) > 0:
-		err = m.cfg.Ing.ApplyRows(ev.ID, p.Rows, p.Epoch, p.Seq)
-	case len(p.Muts) > 0:
-		err = m.cfg.Ing.ApplyMutations(ev.ID, p.Muts, p.Epoch, p.Seq)
-	default:
-		err = m.cfg.Ing.ApplyBump(ev.ID, p.Epoch, p.Seq)
-	}
+	err := m.cfg.Ing.Apply(ev.ID, ev.Pub)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		s.stale = true
 		return api.Errf(api.CodeReplicaOutOfSync, http.StatusConflict,
-			"apply seq %d to follower of %q: %v", p.Seq, ev.ID, err)
+			"apply seq %d to follower of %q: %v", ev.Pub.Seq, ev.ID, err)
 	}
-	s.seq = p.Seq
+	s.seq = ev.Pub.Seq
 	return nil
 }
 

@@ -13,7 +13,7 @@ import (
 	"strconv"
 
 	"repro/internal/api"
-	"repro/internal/ingest"
+	"repro/internal/wal"
 	"repro/pi/client"
 )
 
@@ -44,12 +44,15 @@ const (
 )
 
 // Event is one streamed replication publish on the wire: the owner's
-// identity and fencing term around the ingestion-layer publication.
+// identity and fencing term around the publication record — the same
+// wal.Record the owner journaled. Gob matches fields by name, so the
+// encoding is stable across builds that named the payload type
+// differently (testdata/compat pins it).
 type Event struct {
 	ID    string
 	Term  uint64
 	Owner string
-	Pub   ingest.Publication
+	Pub   wal.Record
 }
 
 // EncodeEvent serializes an event for the apply endpoint.

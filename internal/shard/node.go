@@ -107,13 +107,6 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		return nil, fmt.Errorf("shard: node needs an ingester (snapshot export rides its feeds)")
 	}
 	n := &Node{Service: svc, ing: ing, opts: opts, moved: map[string]string{}}
-	if p := opts.Persister; p != nil {
-		moved, err := loadTombstones(p.Dir())
-		if err != nil {
-			n.tombErr = err.Error()
-		}
-		n.moved = moved
-	}
 	cfg := replica.Config{
 		Self:           addr,
 		Token:          opts.Token,
@@ -125,13 +118,17 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		Drop:           n.dropLocal,
 		ClearTombstone: n.clearTombstone,
 	}
-	walMode := opts.Persister != nil && opts.Persister.WALEnabled()
-	if walMode {
-		p := opts.Persister
-		// WAL mode makes replication state crash-proof: seeds persist
-		// before they are acked, control-plane changes rewrite the
-		// manifest, and trailing followers re-sync from the owner's log
-		// instead of taking a fresh seed.
+	p := opts.Persister
+	if p != nil {
+		moved, err := loadTombstones(p.Dir())
+		if err != nil {
+			n.tombErr = err.Error()
+		}
+		n.moved = moved
+		// Durable replication state: seeds persist before they are
+		// acked, control-plane changes rewrite the manifest, and
+		// trailing followers re-sync from the owner's log instead of
+		// taking a fresh seed.
 		cfg.Adopt = p.Adopt
 		cfg.Persist = func(id string) { _ = p.PersistReplState(id) }
 		cfg.CatchUp = p.CatchUp
@@ -141,8 +138,7 @@ func NewNode(svc *api.Service, ing *ingest.Ingester, opts NodeOptions) (*Node, e
 		return nil, err
 	}
 	n.mgr = mgr
-	if walMode {
-		p := opts.Persister
+	if p != nil {
 		p.SetReplStateSource(func(id string) *store.ReplState {
 			info := mgr.Info(id)
 			if info == nil {
@@ -465,9 +461,9 @@ func (n *Node) Accept(frame []byte) (*AcceptResult, error) {
 		}
 	}
 	if p := n.opts.Persister; p != nil {
-		// Adopt, not a bare file write: in WAL mode this also writes the
-		// manifest and resets the interface's log to the frame's
-		// sequence — the old tail described state this frame replaced.
+		// Adopt writes the base and manifest and resets the interface's
+		// log to the frame's sequence — the old tail described state
+		// this frame replaced.
 		saved := *snap
 		saved.Epoch = epoch
 		if err := p.Adopt(&saved, nil); err != nil {

@@ -142,7 +142,7 @@ func TestManifestChainSaveRestore(t *testing.T) {
 	dir := t.TempDir()
 
 	base := testSnap("iface", 3, 10)
-	if _, err := Save(dir, base); err != nil {
+	if _, err := Save(dir, "iface.snap", base); err != nil {
 		t.Fatalf("Save base: %v", err)
 	}
 	logLen, tableRows, tableMuts := CoveredCounts(base)
@@ -209,7 +209,7 @@ func TestManifestChainSaveRestore(t *testing.T) {
 		t.Fatalf("LoadManifest(absent) = %v, %v; want nil, nil", m2, err)
 	}
 
-	// RemoveManifest deletes the manifest and the deltas, not the base.
+	// RemoveManifest deletes the manifest, the deltas and the base.
 	if err := RemoveManifest(dir, "iface"); err != nil {
 		t.Fatalf("RemoveManifest: %v", err)
 	}
@@ -220,8 +220,8 @@ func TestManifestChainSaveRestore(t *testing.T) {
 	if len(left) != 0 {
 		t.Fatalf("deltas survive removal: %v", left)
 	}
-	if _, err := os.Stat(SnapFile(dir, "iface")); err != nil {
-		t.Fatalf("base snapshot removed too: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "iface.snap")); !os.IsNotExist(err) {
+		t.Fatalf("base snapshot survives removal: %v", err)
 	}
 	// Idempotent.
 	if err := RemoveManifest(dir, "iface"); err != nil {
@@ -229,27 +229,22 @@ func TestManifestChainSaveRestore(t *testing.T) {
 	}
 }
 
-func TestListIgnoresDeltaAndManifestFiles(t *testing.T) {
-	dir := t.TempDir()
-	base := testSnap("iface", 3, 2)
-	if _, err := Save(dir, base); err != nil {
-		t.Fatalf("Save: %v", err)
+// TestBaseNameNeverReusesCommittedBase: a full rewrite never lands on
+// the base the current manifest names, even at the same seq, so a
+// crash before the manifest rename cannot tear the committed chain.
+func TestBaseNameNeverReusesCommittedBase(t *testing.T) {
+	first := BaseName("iface", 7, "")
+	if first != "iface.00000000000000000007.snap" {
+		t.Fatalf("BaseName = %q", first)
 	}
-	d, err := CutDelta(testSnap("iface", 4, 3), 3, 3, map[string]int{"ontime": 2}, map[string]uint64{"ontime": 0})
-	if err != nil {
-		t.Fatalf("CutDelta: %v", err)
+	second := BaseName("iface", 7, first)
+	if second == first {
+		t.Fatalf("rewrite at the same seq reuses the committed base %q", first)
 	}
-	if _, _, err := SaveDelta(dir, d); err != nil {
-		t.Fatalf("SaveDelta: %v", err)
+	if third := BaseName("iface", 7, second); third == second {
+		t.Fatalf("rewrite at the same seq reuses the committed base %q", second)
 	}
-	if err := SaveManifest(dir, &Manifest{ID: "iface", Base: "iface.snap", Seq: 3}); err != nil {
-		t.Fatalf("SaveManifest: %v", err)
-	}
-	files, err := List(dir)
-	if err != nil {
-		t.Fatalf("List: %v", err)
-	}
-	if len(files) != 1 || !strings.HasSuffix(files[0], "iface.snap") {
-		t.Fatalf("List = %v, want just the .snap", files)
+	if got := BaseName("iface", 8, first); got != "iface.00000000000000000008.snap" {
+		t.Fatalf("BaseName at a new seq = %q", got)
 	}
 }

@@ -84,8 +84,7 @@ func SaveManifest(dir string, m *Manifest) error {
 }
 
 // LoadManifest reads one interface's manifest; a missing file returns
-// (nil, nil) — the interface predates differential saves (or was
-// saved full-only) and restores through the legacy .snap path.
+// (nil, nil) — nothing of the interface was ever committed.
 func LoadManifest(dir, id string) (*Manifest, error) {
 	raw, err := os.ReadFile(ManifestFile(dir, id))
 	if os.IsNotExist(err) {
@@ -105,23 +104,22 @@ func LoadManifest(dir, id string) (*Manifest, error) {
 	return &m, nil
 }
 
-// RemoveManifest deletes the manifest and every delta it references;
-// files that never existed are fine. The base snapshot is the
-// caller's business (RemoveSnapshot already owns it).
+// RemoveManifest deletes the manifest, then the base and every delta
+// it referenced; files that never existed are fine. The manifest goes
+// first, so a crash part-way leaves unreferenced files, not a chain
+// with holes.
 func RemoveManifest(dir, id string) error {
 	m, err := LoadManifest(dir, id)
-	if err != nil {
+	if err != nil || m == nil {
 		return err
-	}
-	if m != nil {
-		for _, name := range m.Deltas {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("store: remove delta of %q: %w", id, err)
-			}
-		}
 	}
 	if err := os.Remove(ManifestFile(dir, id)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: remove manifest %q: %w", id, err)
+	}
+	for _, name := range append(m.Deltas, m.Base) {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: remove %s of %q: %w", name, id, err)
+		}
 	}
 	return nil
 }

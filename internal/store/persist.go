@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/engine"
@@ -73,8 +71,19 @@ const FormatVersion = 1
 // checksum catches).
 var fileMagic = []byte("PISNAP01")
 
-// SnapFile returns the snapshot path for an interface ID inside dir.
-func SnapFile(dir, id string) string { return filepath.Join(dir, id+".snap") }
+// BaseName returns the file name of a full base snapshot covering seq
+// — never prev, the base the current manifest names, so even a rewrite
+// at the same seq lands beside the committed base instead of over it.
+// Only the manifest's atomic rename commits a base: a crash between
+// the two writes leaves an unreferenced file, never a torn chain. The
+// zero-padded seq matches DeltaFile's naming.
+func BaseName(id string, seq uint64, prev string) string {
+	name := fmt.Sprintf("%s.%020d.snap", id, seq)
+	if name == prev {
+		name = fmt.Sprintf("%s.%020d.1.snap", id, seq)
+	}
+	return name
+}
 
 // ValidID mirrors the registry's interface-ID rule so a hostile ID
 // can never escape the data dir as a path. Every layer that derives a
@@ -127,7 +136,7 @@ func (s *Store) CaptureTables() []TableData {
 }
 
 // Encode serializes the snapshot into the framed format shared by
-// .snap files and shard-to-shard transfers: magic, CRC-32 checksum,
+// base snapshot files and shard-to-shard transfers: magic, CRC-32 checksum,
 // payload length, gob payload. Because the checksum rides inside the
 // frame, a snapshot exported over HTTP during a migration is verified
 // end-to-end by the accepting shard exactly like a file read back from
@@ -182,11 +191,11 @@ func Decode(raw []byte) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// Save writes the snapshot to dir/<id>.snap durably through
+// Save writes the snapshot to dir/name (see BaseName) durably through
 // AtomicWrite — a reader (or a crash) can only ever observe the old
 // complete file or the new complete file, never a torn write. Returns
 // the byte size of the file.
-func Save(dir string, snap *Snapshot) (int64, error) {
+func Save(dir, name string, snap *Snapshot) (int64, error) {
 	if !validSnapID(snap.ID) {
 		return 0, fmt.Errorf("store: invalid snapshot id %q", snap.ID)
 	}
@@ -194,7 +203,7 @@ func Save(dir string, snap *Snapshot) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := AtomicWrite(dir, snap.ID+".snap", frame); err != nil {
+	if err := AtomicWrite(dir, name, frame); err != nil {
 		return 0, fmt.Errorf("store: save snapshot %q: %w", snap.ID, err)
 	}
 	return int64(len(frame)), nil
@@ -222,27 +231,6 @@ func Load(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
 	return snap, nil
-}
-
-// List returns the snapshot files in dir in sorted order. A missing
-// dir is an empty list, not an error (first boot).
-func List(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: list snapshots: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
-			continue
-		}
-		out = append(out, filepath.Join(dir, e.Name()))
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Restore rebuilds a store from the snapshot's tables: each table's

@@ -47,20 +47,21 @@ import (
 	"repro/internal/store"
 )
 
-// TableRows is one table's slice of a recorded row publication. It
-// mirrors the ingestion layer's publication shape without importing
-// it (the ingestion layer imports this package).
+// TableRows is one table's slice of a recorded row publication.
 type TableRows struct {
 	Table string
 	Rows  [][]engine.Value
 }
 
-// Record is one acked publication: the per-interface monotone
-// sequence number, the interface epoch after the publish, and the
-// payload — log entries (re-mine batch), table rows (row append),
-// rowid-keyed mutations (UPDATE/DELETE publish), or none of them (a
-// bare epoch bump / promotion fence). Muts gob-decodes empty on
-// records written before DML existed, so old logs keep replaying.
+// Record is one acked publication — the single publication type of
+// the system: this log journals it, the replication stream carries it
+// (replica.Event) and restore replays it (ingest.Ingester.Apply). It
+// holds the per-interface monotone sequence number, the interface
+// epoch after the publish, and the payload — log entries (re-mine
+// batch), table rows (row append), rowid-keyed mutations
+// (UPDATE/DELETE publish), or none of them (a bare epoch bump /
+// promotion fence). Muts gob-decodes empty on records written before
+// DML existed, so old logs keep replaying.
 type Record struct {
 	Seq     uint64
 	Epoch   uint64

@@ -350,7 +350,9 @@ func MutateRows(ing *Ingester, id, sql string, ifEpoch uint64) (MutateAck, error
 }
 
 // NewPersister returns a snapshot/restore coordinator writing under
-// dir for the ingester's live-hosted interfaces.
+// dir for the ingester's live-hosted interfaces. Every acked publish
+// is journaled to a strict write-ahead log under dir before its ack
+// returns.
 func NewPersister(dir string, ing *Ingester) *Persister {
 	return ingest.NewPersister(dir, ing, ingest.PersistOptions{})
 }

@@ -70,7 +70,7 @@ case "$body" in
 *'"id":"olap"'*) ;;
 *) echo "snapshot result missing olap: $body" >&2; exit 1 ;;
 esac
-[ -f "$DATA_DIR/olap.snap" ] || { echo "no snapshot file in $DATA_DIR" >&2; exit 1; }
+ls "$DATA_DIR"/olap.*.snap >/dev/null 2>&1 || { echo "no snapshot file in $DATA_DIR" >&2; exit 1; }
 
 echo "== SIGKILL"
 kill -9 "$PID"

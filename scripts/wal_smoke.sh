@@ -1,5 +1,5 @@
 #!/bin/sh
-# End-to-end smoke of the write-ahead log: start pi-serve with -wal,
+# End-to-end smoke of the write-ahead log: start pi-serve with -data-dir,
 # stream acked row appends and log entries WITHOUT ever snapshotting,
 # SIGKILL the process, restart it on the same data dir, and verify
 # every acked write came back from the logged tail alone. Then prove
@@ -25,7 +25,7 @@ trap cleanup EXIT INT TERM
 
 start_server() {
     "$BIN" -addr "$ADDR" -workloads olap -n 80 -rows 500 \
-        -token "$TOKEN" -data-dir "$DATA_DIR" -wal -wal-sync 0 >>"$LOG" 2>&1 &
+        -token "$TOKEN" -data-dir "$DATA_DIR" -wal-sync 0 >>"$LOG" 2>&1 &
     PID=$!
     i=0
     until curl -sf "http://$ADDR/v1/healthz" >/dev/null 2>&1; do
@@ -56,14 +56,19 @@ append_rows() { # append_rows N -> ack body
         -d "{\"table\":\"ontime\",\"rows\":[$payload]}"
 }
 
+# base_file prints the path of the base snapshot the manifest commits.
+base_file() {
+    echo "$DATA_DIR/$(sed -n 's/.*"base": *"\([^"]*\)".*/\1/p' "$DATA_DIR/olap.manifest.json")"
+}
+
 ONTIME_ROW='["AA","AA","CAP","NYP","CA","NY",1,1,1,10,12,8,500,1,0,0]'
 
-echo "== first life: pi-serve -wal on $ADDR"
+echo "== first life: pi-serve -data-dir on $ADDR"
 start_server
 
 echo "== boot wrote the WAL anchor (base snapshot + manifest)"
-[ -f "$DATA_DIR/olap.snap" ] || { echo "no base snapshot after boot" >&2; exit 1; }
 [ -f "$DATA_DIR/olap.manifest.json" ] || { echo "no manifest after boot" >&2; exit 1; }
+[ -f "$(base_file)" ] || { echo "no base snapshot after boot" >&2; exit 1; }
 grep -q "wal: initial snapshot" "$LOG" || { echo "no initial snapshot logged; log:" >&2; cat "$LOG" >&2; exit 1; }
 
 echo "== acked writes that are never snapshotted (they live only in the WAL)"
@@ -105,7 +110,7 @@ epoch_after=$(json_field "$(curl -s "http://$ADDR/v1/interfaces/olap/epoch")" ep
     echo "epoch went backwards: $epoch_before -> $epoch_after" >&2; exit 1; }
 
 echo "== a snapshot now cuts a differential delta, not a base rewrite"
-base_before=$(wc -c <"$DATA_DIR/olap.snap")
+base_before="$(base_file) $(wc -c <"$(base_file)")"
 body=$(curl -s -X POST "http://$ADDR/v1/snapshot" -H "Authorization: Bearer $TOKEN")
 case "$body" in
 *'"id":"olap"'*) ;;
@@ -113,7 +118,7 @@ case "$body" in
 esac
 deltas=$(ls "$DATA_DIR" | grep -c '\.delta$' || true)
 [ "$deltas" -ge 1 ] || { echo "no delta file after differential save; dir: $(ls "$DATA_DIR")" >&2; exit 1; }
-base_after=$(wc -c <"$DATA_DIR/olap.snap")
+base_after="$(base_file) $(wc -c <"$(base_file)")"
 [ "$base_after" = "$base_before" ] || {
     echo "differential save rewrote the base ($base_before -> $base_after bytes)" >&2; exit 1; }
 
